@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race fuzz bench campaign cosim cover bench-json bench-par lint tmvet binlint serve-smoke campaign-smoke
+.PHONY: check build vet test race fuzz bench bench-smoke campaign cosim cover bench-json bench-par lint tmvet binlint serve-smoke campaign-smoke
 
 # Tier-1 gate: lint (vet + tmvet + gofmt), the full test suite under the
 # race detector (includes the concurrent-runner and batch determinism
@@ -14,8 +14,9 @@ GO ?= go
 # live-daemon smoke (boot tm3270d, drive load, assert zero 5xx and a
 # clean SIGTERM drain), and the campaign kill/resume smoke (shard a
 # cosim campaign, SIGKILL one shard mid-run, resume, and byte-compare
-# the merged aggregate against an unsharded run).
-check: lint race cover cosim bench-json bench-par serve-smoke campaign-smoke
+# the merged aggregate against an unsharded run), and one iteration of
+# the static-verifier allocation benchmarks so they cannot rot.
+check: lint race cover cosim bench-json bench-par serve-smoke campaign-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -51,6 +52,12 @@ fuzz:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# bench-smoke: one iteration each of the static-verifier benchmarks
+# (BenchmarkVerify, BenchmarkWCET: mpeg2_super on config D, allocations
+# reported), so a change that breaks them fails the build.
+bench-smoke:
+	$(GO) test -run=NONE -bench='Verify|WCET' -benchtime=1x ./internal/runner/
 
 campaign:
 	$(GO) run ./cmd/tm3270bench -faults

@@ -226,21 +226,25 @@ type verifier struct {
 	jumps []jumpRef
 
 	uninitOn     bool
-	entryDefined map[isa.Reg]bool
+	entryDefined regSet
 
 	// Semantic-layer results (nil/empty until the passes run).
-	dom    []bitset     // dom[i]: nodes dominating i (reachable nodes only)
-	loops  []*loop      // natural loops, merged by header
-	ranges []rangeState // per-node register intervals at entry
+	dom    []bitset      // dom[i]: nodes dominating i (reachable nodes only)
+	loops  []*loop       // natural loops, merged by header
+	ranges []*rangeState // per-node register intervals at entry (nil: top)
+
+	rangeCap     int  // worklist iterations before a range pass gives up
+	rangesCapped bool // a range pass gave up: v.ranges is all top
 }
 
 func newVerifier(dec []encode.DecInstr, t *config.Target, opts *Options) *verifier {
-	v := &verifier{dec: dec, t: t, rep: &Report{}, opts: opts}
+	v := &verifier{dec: dec, t: t, rep: &Report{}, opts: opts, rangeCap: maxRangeIterations}
 	if opts != nil && opts.EntryDefined != nil {
 		v.uninitOn = true
-		v.entryDefined = make(map[isa.Reg]bool, len(opts.EntryDefined)+2)
 		for _, r := range opts.EntryDefined {
-			v.entryDefined[r] = true
+			if r.Valid() {
+				v.entryDefined.add(r)
+			}
 		}
 	}
 	return v

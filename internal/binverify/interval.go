@@ -91,27 +91,42 @@ func (a interval) containsZeroPattern() bool {
 	return m <= a.hi
 }
 
-// rangeState maps registers to their interval at a node's entry.
-// Absent means top. The hardwired r0/r1 are implicit (see getIv).
-type rangeState map[isa.Reg]interval
-
-func (s rangeState) clone() rangeState {
-	c := make(rangeState, len(s))
-	for r, iv := range s {
-		c[r] = iv
-	}
-	return c
+// rangeState holds every register's interval at a node's entry, dense
+// over the register file. A register outside has is top; its iv entry
+// is kept zero, so two states compare with ==. The hardwired r0/r1 are
+// implicit (see get). A nil *rangeState is top everywhere: a node the
+// fixpoint never reached, or one whose analysis was abandoned.
+type rangeState struct {
+	has regSet
+	iv  [isa.NumRegs]interval
 }
 
-func (s rangeState) get(r isa.Reg) (interval, bool) {
+// get returns r's interval, resolving the hardwired registers.
+func (s *rangeState) get(r isa.Reg) (interval, bool) {
 	switch r {
 	case isa.R0:
 		return interval{0, 0}, true
 	case isa.R1:
 		return interval{1, 1}, true
 	}
-	iv, ok := s[r]
-	return iv, ok
+	return s.lookup(r)
+}
+
+// lookup returns the interval stored for r; ok=false means top.
+func (s *rangeState) lookup(r isa.Reg) (interval, bool) {
+	if s == nil || !s.has.has(r) {
+		return interval{}, false
+	}
+	return s.iv[r], true
+}
+
+func (s *rangeState) set(r isa.Reg, iv interval) { s.has.add(r); s.iv[r] = iv }
+func (s *rangeState) del(r isa.Reg)              { s.has.remove(r); s.iv[r] = interval{} }
+
+// each calls fn for every non-top register in ascending order. fn may
+// update or delete the register it is given.
+func (s *rangeState) each(fn func(isa.Reg, interval)) {
+	s.has.each(func(r isa.Reg) { fn(r, s.iv[r]) })
 }
 
 // cmpKind classifies the comparison operators the domain evaluates.
@@ -264,7 +279,7 @@ var bitIv = interval{0, 1}
 
 // rangeResult computes the destination interval of a single-dest
 // operation from its operand intervals. ok=false means top.
-func rangeResult(op *vop, st rangeState) (interval, bool) {
+func rangeResult(op *vop, st *rangeState) (interval, bool) {
 	src := func(i int) (interval, bool) {
 		if i >= len(op.srcs) {
 			return interval{}, false

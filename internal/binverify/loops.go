@@ -383,11 +383,15 @@ func (v *verifier) loopEntryInterval(reg isa.Reg, l *loop) (interval, bool) {
 			return interval{}, false
 		}
 	}
+	var out rangeState
 	for _, p := range v.preds[l.header] {
-		if l.body.has(p) || !v.reach[p] || v.ranges[p] == nil {
+		if l.body.has(p) || !v.reach[p] {
 			continue
 		}
-		out := v.transferRanges(p, v.ranges[p], nil)
+		if v.ranges[p] == nil {
+			return interval{}, false // top: the range pass gave up
+		}
+		v.transferRanges(p, v.ranges[p], &out, nil)
 		if !join(out.get(reg)) {
 			return interval{}, false
 		}
@@ -482,42 +486,42 @@ func tripCount(rel cmpKind, unsigned bool, entry, limit interval, step int64) (i
 // sound by that argument alone, independent of the fixpoint: the
 // back-edge join may exceed it by one abstract step (the update before
 // the exit test), which widen deliberately discards (see widen).
-func (v *verifier) boundedWidenings() map[int]rangeState {
-	clamps := map[int]rangeState{}
+func (v *verifier) boundedWidenings() map[int]*rangeState {
+	clamps := map[int]*rangeState{}
 	for _, l := range v.loops {
 		if l.irreducible || l.bound == 0 {
 			continue
 		}
-		for _, reg := range v.loopWrittenRegs(l) {
+		written := v.loopWrittenRegs(l)
+		written.each(func(reg isa.Reg) {
 			step, ok := v.inductionStep(reg, l)
 			if !ok {
-				continue
+				return
 			}
 			entry, ok := v.loopEntryInterval(reg, l)
 			if !ok {
-				continue
+				return
 			}
 			b := interval{
 				entry.lo + min64(0, step*l.bound),
 				entry.hi + max64(0, step*l.bound),
 			}
 			if !b.valid() {
-				continue
+				return
 			}
 			if clamps[l.header] == nil {
-				clamps[l.header] = rangeState{}
+				clamps[l.header] = &rangeState{}
 			}
-			clamps[l.header][reg] = b
-		}
+			clamps[l.header].set(reg, b)
+		})
 	}
 	return clamps
 }
 
-// loopWrittenRegs lists the distinct non-hardwired registers written
-// anywhere in the loop body.
-func (v *verifier) loopWrittenRegs(l *loop) []isa.Reg {
-	seen := map[isa.Reg]bool{}
-	var regs []isa.Reg
+// loopWrittenRegs returns the non-hardwired registers written anywhere
+// in the loop body.
+func (v *verifier) loopWrittenRegs(l *loop) regSet {
+	var regs regSet
 	for i := 0; i < len(v.dec); i++ {
 		if !l.body.has(i) {
 			continue
@@ -528,9 +532,8 @@ func (v *verifier) loopWrittenRegs(l *loop) []isa.Reg {
 				continue
 			}
 			for _, d := range op.dests {
-				if !d.Hardwired() && !seen[d] {
-					seen[d] = true
-					regs = append(regs, d)
+				if !d.Hardwired() {
+					regs.add(d)
 				}
 			}
 		}

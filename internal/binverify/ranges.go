@@ -17,18 +17,18 @@ import "tm3270/internal/isa"
 // findings are moot alongside the latency errors.
 
 const (
-	widenAfterJoins    = 2  // per-header joins before widening kicks in
-	widenSafetyValve   = 32 // widen anywhere after this many joins
-	maxRangeIterations = 1 << 16
+	widenAfterJoins    = 2       // per-header joins before widening kicks in
+	widenSafetyValve   = 32      // widen anywhere after this many joins
+	maxRangeIterations = 1 << 16 // worklist cap per range pass (verifier.rangeCap)
 )
 
 // entryRangeState seeds node 0: r0/r1 plus the declared entry values.
-func (v *verifier) entryRangeState() rangeState {
-	st := rangeState{}
+func (v *verifier) entryRangeState() *rangeState {
+	st := &rangeState{}
 	if v.opts != nil {
 		for r, val := range v.opts.EntryValues {
-			if !r.Hardwired() {
-				st[r] = ivConst(val)
+			if !r.Hardwired() && r.Valid() {
+				st.set(r, ivConst(val))
 			}
 		}
 	}
@@ -38,7 +38,7 @@ func (v *verifier) entryRangeState() rangeState {
 // guardTruth decides whether the op executes: known=false when the
 // guard value is not statically determined. Hardwired guards are
 // handled by neverExec before this is consulted.
-func guardTruth(op *vop, st rangeState) (executes, known bool) {
+func guardTruth(op *vop, st *rangeState) (executes, known bool) {
 	iv, ok := st.get(op.guard)
 	if !ok || !iv.singleton() {
 		return false, false
@@ -47,11 +47,11 @@ func guardTruth(op *vop, st rangeState) (executes, known bool) {
 	return (bit == 1) != op.info.GuardInverted, true
 }
 
-// transferRanges computes the next node's entry state from node i's.
-// When sink is non-nil, per-op results are reported to it (the checking
-// pass); the fixpoint passes nil.
-func (v *verifier) transferRanges(i int, in rangeState, sink func(op *vop, st rangeState)) rangeState {
-	out := in.clone()
+// transferRanges computes into out the next node's entry state from
+// node i's. When sink is non-nil, per-op results are reported to it (the
+// checking pass); the fixpoint passes nil.
+func (v *verifier) transferRanges(i int, in, out *rangeState, sink func(op *vop, st *rangeState)) {
+	*out = *in
 	for k := range v.ops[i] {
 		op := &v.ops[i][k]
 		if neverExec(op) {
@@ -73,7 +73,7 @@ func (v *verifier) transferRanges(i int, in rangeState, sink func(op *vop, st ra
 		if len(op.dests) > 1 {
 			// Two-slot results are outside the domain.
 			for _, d := range op.dests {
-				delete(out, d)
+				out.del(d)
 			}
 			continue
 		}
@@ -84,43 +84,46 @@ func (v *verifier) transferRanges(i int, in rangeState, sink func(op *vop, st ra
 		res, ok := rangeResult(op, in)
 		switch {
 		case !ok:
-			delete(out, d)
+			out.del(d)
 		case guardKnown:
-			out[d] = res // strong update
+			out.set(d, res) // strong update
 		default:
 			// The write may or may not happen: join with the old value.
-			if old, had := out[d]; had {
-				out[d] = hull(old, res)
-			} else {
-				delete(out, d)
+			if old, had := out.lookup(d); had {
+				out.set(d, hull(old, res))
 			}
 		}
 	}
-	return out
 }
 
 // mergeRanges joins src into dst (hull of common registers, drop the
 // rest), reporting whether dst changed.
-func mergeRanges(dst, src rangeState) bool {
+func mergeRanges(dst, src *rangeState) bool {
 	changed := false
-	for r, iv := range dst {
+	dst.each(func(r isa.Reg, iv interval) {
 		siv, ok := src.get(r)
 		if !ok {
-			delete(dst, r)
+			dst.del(r)
 			changed = true
-			continue
+			return
 		}
 		if h := hull(iv, siv); h != iv {
-			dst[r] = h
+			dst.iv[r] = h
 			changed = true
 		}
-	}
+	})
 	return changed
 }
 
 // rangeFixpoint runs the interval worklist. clamps, when non-nil, maps
 // loop headers to bounded-widening targets per register (second pass).
-func (v *verifier) rangeFixpoint(clamps map[int]rangeState) {
+// Only a node's first visit allocates: transfers and merges reuse two
+// scratch states.
+//
+// The worklist stops after v.rangeCap iterations. States cut short are
+// not a fixpoint and would back unsound proofs, so when work remains
+// every node falls back to top and cycleBound says so in a note.
+func (v *verifier) rangeFixpoint(clamps map[int]*rangeState) {
 	n := len(v.dec)
 	isHeader := make([]bool, n)
 	for _, l := range v.loops {
@@ -129,37 +132,39 @@ func (v *verifier) rangeFixpoint(clamps map[int]rangeState) {
 		}
 	}
 
-	states := make([]rangeState, n)
+	states := make([]*rangeState, n)
 	states[0] = v.entryRangeState()
 	joins := make([]int, n)
 	work := []int{0}
 	queued := make([]bool, n)
 	queued[0] = true
-	for iter := 0; len(work) > 0 && iter < maxRangeIterations; iter++ {
+	var out, pre rangeState
+	for iter := 0; len(work) > 0 && iter < v.rangeCap; iter++ {
 		i := work[0]
 		work = work[1:]
 		queued[i] = false
-		out := v.transferRanges(i, states[i], nil)
+		v.transferRanges(i, states[i], &out, nil)
 		for _, s := range v.succ[i] {
 			if s >= n {
 				continue
 			}
 			changed := false
 			if states[s] == nil {
-				states[s] = out.clone()
+				st := out
+				states[s] = &st
 				changed = true
 			} else {
-				pre := states[s].clone()
-				if mergeRanges(states[s], out) {
+				pre = *states[s]
+				if mergeRanges(states[s], &out) {
 					joins[s]++
 					if isHeader[s] && joins[s] > widenAfterJoins ||
 						joins[s] > widenSafetyValve {
-						widen(states[s], pre, clampFor(clamps, s))
+						widen(states[s], &pre, clamps[s])
 					}
 					// Widening a clamped register can restore the
 					// pre-merge state exactly; only a real change
 					// re-queues the successor.
-					changed = !rangesEqual(states[s], pre)
+					changed = *states[s] != pre
 				}
 			}
 			if changed && !queued[s] {
@@ -168,14 +173,11 @@ func (v *verifier) rangeFixpoint(clamps map[int]rangeState) {
 			}
 		}
 	}
-	v.ranges = states
-}
-
-func clampFor(clamps map[int]rangeState, node int) rangeState {
-	if clamps == nil {
-		return nil
+	if len(work) > 0 {
+		clear(states)
+		v.rangesCapped = true
 	}
-	return clamps[node]
+	v.ranges = states
 }
 
 // widen drops every register that grew in the last join to top — or to
@@ -185,37 +187,22 @@ func clampFor(clamps map[int]rangeState, node int) rangeState {
 // step between consecutive ones — see boundedWidenings), while the
 // back-edge join necessarily carries one increment past the final
 // header entry because the domain cannot refine on the exit branch.
-func widen(cur, pre rangeState, clamp rangeState) {
-	for r, iv := range cur {
-		old, had := pre[r]
-		if had && old == iv {
-			continue // stable: no widening needed
+func widen(cur, pre, clamp *rangeState) {
+	cur.each(func(r isa.Reg, iv interval) {
+		if old, had := pre.lookup(r); had && old == iv {
+			return // stable: no widening needed
 		}
-		if c, ok := clamp[r]; ok {
-			cur[r] = c
-			continue
+		if c, ok := clamp.lookup(r); ok {
+			cur.set(r, c)
+			return
 		}
-		delete(cur, r)
-	}
-}
-
-// rangesEqual reports whether two range states bind the same registers
-// to the same intervals.
-func rangesEqual(a, b rangeState) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for r, iv := range a {
-		if biv, ok := b[r]; !ok || biv != iv {
-			return false
-		}
-	}
-	return true
+		cur.del(r)
+	})
 }
 
 // memAddress returns the access address interval of a load/store, or
 // ok=false when the addressing operands are unknown.
-func memAddress(op *vop, st rangeState) (interval, bool) {
+func memAddress(op *vop, st *rangeState) (interval, bool) {
 	if len(op.srcs) == 0 {
 		return interval{}, false
 	}
@@ -262,18 +249,19 @@ func memAddress(op *vop, st rangeState) (interval, bool) {
 // reports dead guards and provably out-of-range memory accesses.
 func (v *verifier) checkRanges() {
 	n := len(v.dec)
+	var out rangeState
 	for i := 0; i < n; i++ {
 		if !v.reach[i] || v.ranges[i] == nil {
 			continue
 		}
 		idx := i
-		v.transferRanges(i, v.ranges[i], func(op *vop, st rangeState) {
+		v.transferRanges(i, v.ranges[i], &out, func(op *vop, st *rangeState) {
 			v.checkOpRanges(idx, op, st)
 		})
 	}
 }
 
-func (v *verifier) checkOpRanges(i int, op *vop, st rangeState) {
+func (v *verifier) checkOpRanges(i int, op *vop, st *rangeState) {
 	exec, guardKnown := true, true
 	if !op.guard.Hardwired() {
 		exec, guardKnown = guardTruth(op, st)

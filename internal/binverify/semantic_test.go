@@ -1,6 +1,7 @@
 package binverify
 
 import (
+	"strings"
 	"testing"
 
 	"tm3270/internal/config"
@@ -116,6 +117,64 @@ func TestLoopBoundAnnotation(t *testing.T) {
 	}
 	if len(cb.Loops) != 1 || cb.Loops[0].Bound != 10 || cb.Loops[0].Source != "annotation" {
 		t.Errorf("loops = %+v, want one 10@annotation", cb.Loops)
+	}
+}
+
+// TestRangeFixpointCapFallsBackToTop runs the range worklist with its
+// iteration cap lowered below what the loop needs. Cut short after the
+// first iteration, the states claim r2 == 1 at the compare, so r5
+// (r2 == 5) looks constantly false and the iadd it guards looks dead —
+// a claim the converged analysis does not make. A capped pass must
+// instead leave every node at top, report nothing from ranges and say
+// so in the cycle bound's notes.
+func TestRangeFixpointCapFallsBackToTop(t *testing.T) {
+	tgt := config.TM3260()
+	dec := stream(
+		[5]*encode.DecOp{{Opcode: uint16(isa.OpIADDI), Guard: isa.R1, S1: r2, D: r2, Imm: 1}},
+		[5]*encode.DecOp{
+			{Opcode: uint16(isa.OpIEQLI), Guard: isa.R1, S1: r2, D: r5, Imm: 5},
+			{Opcode: uint16(isa.OpILESI), Guard: isa.R1, S1: r2, D: r4, Imm: 16}},
+		[5]*encode.DecOp{op(isa.OpIADD, r5, r2, r2, r10), jmp(isa.OpJMPT, r4, addrOf(0))},
+		[5]*encode.DecOp{}, [5]*encode.DecOp{}, [5]*encode.DecOp{},
+	)
+	opts := &Options{EntryValues: map[isa.Reg]uint32{r2: 0}, EntryDefined: []isa.Reg{r2}}
+	run := func(limit int) *verifier {
+		v := newVerifier(dec, &tgt, opts)
+		v.rangeCap = limit
+		v.run()
+		return v
+	}
+	capNote := func(cb *CycleBound) bool {
+		for _, n := range cb.Notes {
+			if strings.Contains(n, "without converging") {
+				return true
+			}
+		}
+		return false
+	}
+
+	full := run(maxRangeIterations)
+	if !full.rep.Clean() {
+		t.Fatalf("converged analysis reported %v", checks(full.rep))
+	}
+	if cb := full.cycleBound(); capNote(cb) || !cb.Bounded {
+		t.Errorf("converged analysis: bounded=%v notes=%v", cb.Bounded, cb.Notes)
+	}
+
+	capped := run(3)
+	if !capped.rangesCapped {
+		t.Fatal("three iterations reached the fixpoint; the scenario no longer exercises the cap")
+	}
+	for i, st := range capped.ranges {
+		if st != nil {
+			t.Errorf("node %d kept a range state after the cap", i)
+		}
+	}
+	if !capped.rep.Clean() {
+		t.Errorf("capped analysis reported %v", checks(capped.rep))
+	}
+	if cb := capped.cycleBound(); !capNote(cb) {
+		t.Errorf("capped analysis: notes = %v, want a non-convergence note", cb.Notes)
 	}
 }
 

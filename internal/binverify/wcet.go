@@ -120,6 +120,10 @@ func (v *verifier) cycleBound() *CycleBound {
 		return cb
 	}
 
+	if v.rangesCapped {
+		cb.Notes = append(cb.Notes, fmt.Sprintf(
+			"value-range analysis stopped after %d iterations without converging; all ranges treated as unknown", v.rangeCap))
+	}
 	for _, l := range v.loops {
 		if l.irreducible {
 			cb.Bounded = false
@@ -231,7 +235,7 @@ func (v *verifier) dataFootprint(count []int64) (map[int64]bool, bool) {
 	foot := map[int64]bool{}
 	mmioStore := false
 	for i := range v.dec {
-		if count[i] == 0 || v.ranges[i] == nil {
+		if count[i] == 0 {
 			continue
 		}
 		for k := range v.ops[i] {
@@ -292,7 +296,7 @@ func memLines(v *verifier, i int, op *vop, lineB int64) int64 {
 	if size <= 1 {
 		return 1
 	}
-	if v.ranges != nil && v.ranges[i] != nil {
+	if v.ranges != nil {
 		if addr, ok := memAddress(op, v.ranges[i]); ok && addr.singleton() {
 			return (addr.lo+size-1)/lineB - addr.lo/lineB + 1
 		}
