@@ -15,7 +15,7 @@ import (
 	"tm3270/internal/workloads"
 )
 
-var updateStatic = flag.Bool("update", false, "rewrite testdata/static.golden")
+var update = flag.Bool("update", false, "rewrite the testdata/*.golden files of the tests that run")
 
 // TestStaticGolden pins the static verifier's complete output on every
 // shipped workload at Full() sizes on configs A and D: each pair's
@@ -57,7 +57,7 @@ func TestStaticGolden(t *testing.T) {
 	got := b.String()
 
 	path := filepath.Join("testdata", "static.golden")
-	if *updateStatic {
+	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
