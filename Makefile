@@ -4,18 +4,19 @@ GO ?= go
 
 # Tier-1 gate: lint (vet + tmvet + gofmt), the full test suite under the
 # race detector (includes the concurrent-runner and batch determinism
-# tests in internal/runner, and TestEnginesAgree — the direct
-# fast-vs-interp equivalence matrix), the per-package coverage-floor
-# gate, the differential conformance campaign on BOTH execution engines
-# (zero divergences against the reference model transitively proves the
-# block-cache fast path and the interpreter agree on every covered
-# program), the machine-readable quick bench (written and
-# schema-checked), the serial-vs-parallel byte-identity proof, the
-# live-daemon smoke (boot tm3270d, drive load, assert zero 5xx and a
-# clean SIGTERM drain), and the campaign kill/resume smoke (shard a
-# cosim campaign, SIGKILL one shard mid-run, resume, and byte-compare
-# the merged aggregate against an unsharded run), and one iteration of
-# the static-verifier allocation benchmarks so they cannot rot.
+# tests in internal/runner, TestExecGolden — every workload's cycles,
+# stall split, trap and final state on six targets, byte-compared
+# against testdata/exec.golden — and TestEnginesAgree, the lockstep
+# pipeline-vs-reference-model matrix), the per-package coverage-floor
+# gate, the differential conformance campaign (zero divergences of the
+# execution loop against the reference model), the machine-readable
+# quick bench (written and schema-checked), the serial-vs-parallel
+# byte-identity proof, the live-daemon smoke (boot tm3270d, drive
+# load, assert zero 5xx and a clean SIGTERM drain), and the campaign
+# kill/resume smoke (shard a cosim campaign, SIGKILL one shard mid-run,
+# resume, and byte-compare the merged aggregate against an unsharded
+# run), and one iteration of the static-verifier allocation benchmarks
+# so they cannot rot.
 check: lint race cover cosim bench-json bench-par serve-smoke campaign-smoke bench-smoke
 
 build:
@@ -64,8 +65,7 @@ campaign:
 
 # cosim: the differential conformance campaign — every workload plus
 # 2000 generated programs, pipeline model vs reference model, all four
-# targets, once per execution engine (blockcache and interp). Exits
-# nonzero on any divergence.
+# targets. Exits nonzero on any divergence.
 cosim:
 	$(GO) run ./cmd/tm3270bench -quick -cosim
 

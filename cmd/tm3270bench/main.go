@@ -27,12 +27,10 @@ import (
 	"runtime"
 	"time"
 
-	"tm3270/internal/config"
 	"tm3270/internal/cosim"
 	"tm3270/internal/experiments"
 	"tm3270/internal/faults"
 	"tm3270/internal/runner"
-	"tm3270/internal/tmsim"
 	"tm3270/internal/workloads"
 )
 
@@ -52,11 +50,10 @@ func main() {
 	wcet := flag.Bool("wcet", false, "static worst-case cycle bounds vs measured")
 	fc := flag.Bool("faults", false, "seeded fault-injection campaign")
 	csim := flag.Bool("cosim", false, "differential conformance campaign (pipeline vs reference model)")
-	engines := flag.Bool("engine", false, "execution-engine retire-rate comparison (interp vs blockcache per target)")
 	jsonOut := flag.String("json", "", "write the machine-readable bench result to this file")
 	flag.Parse()
 
-	all := !(*t1 || *t3 || *t4 || *t6 || *f1 || *f3 || *f7 || *ab || *sweep || *wcet || *fc || *csim || *engines || *jsonOut != "")
+	all := !(*t1 || *t3 || *t4 || *t6 || *f1 || *f3 || *f7 || *ab || *sweep || *wcet || *fc || *csim || *jsonOut != "")
 	p := workloads.Full()
 	meW, meH := 352, 288
 	if *quick {
@@ -178,39 +175,16 @@ func main() {
 	}
 	if all || *csim {
 		run("cosim", func() error {
-			// Both execution engines run the identical campaign against
-			// the architectural reference model. Each must diverge zero
-			// times — which transitively proves the fast path and the
-			// interpreter agree on every covered program.
-			for _, eng := range []tmsim.Engine{tmsim.EngineBlockCache, tmsim.EngineInterp} {
-				fmt.Printf("engine %s vs reference model:\n", eng)
-				camp, err := cosim.RunCampaign(cosim.CampaignConfig{
-					Params: &p,
-					Opts:   cosim.Options{Engine: eng},
-				})
-				if err != nil {
-					return err
-				}
-				camp.PrintSummary(os.Stdout)
-				if len(camp.Divergent) > 0 {
-					return fmt.Errorf("%d divergent runs on the %s engine", len(camp.Divergent), eng)
-				}
-			}
-			return nil
-		})
-	}
-	if all || *engines {
-		run("engine", func() error {
-			// The paper's four configurations; A and D are the TM3260 and
-			// TM3270 shipping parts.
-			targets := []config.Target{
-				config.ConfigA(), config.ConfigB(), config.ConfigC(), config.ConfigD(),
-			}
-			rows, err := experiments.EngineComparison(p, targets)
+			// The pipeline model runs the campaign against the
+			// architectural reference model and must diverge zero times.
+			camp, err := cosim.RunCampaign(cosim.CampaignConfig{Params: &p})
 			if err != nil {
 				return err
 			}
-			experiments.PrintEngineComparison(os.Stdout, rows)
+			camp.PrintSummary(os.Stdout)
+			if len(camp.Divergent) > 0 {
+				return fmt.Errorf("%d divergent runs", len(camp.Divergent))
+			}
 			return nil
 		})
 	}

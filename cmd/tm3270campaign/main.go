@@ -16,7 +16,7 @@
 // Usage:
 //
 //	tm3270campaign [-kind cosim|mutants] [-store dir] [-resume]
-//	               [-shards i/n] [-seeds N] [-ops N] [-engine E]
+//	               [-shards i/n] [-seeds N] [-ops N]
 //	               [-mutants N] [-mseeds N] [-workers N] [-json out]
 //	               [-lockstep N] [-progress]
 package main
@@ -32,7 +32,6 @@ import (
 	"tm3270/internal/campaign"
 	"tm3270/internal/cosim"
 	"tm3270/internal/faults"
-	"tm3270/internal/tmsim"
 )
 
 func main() {
@@ -42,7 +41,6 @@ func main() {
 	shards := flag.String("shards", "1/1", "this process's shard i/n of the unit matrix")
 	seeds := flag.Int("seeds", 500, "cosim: generated programs per target")
 	ops := flag.Int("ops", 64, "cosim: operation budget per generated program")
-	engine := flag.String("engine", "blockcache", "cosim: execution engine (blockcache or interp)")
 	lockstep := flag.Int("lockstep", 16, "cosim: run every Nth generated unit in lockstep (<0 disables)")
 	mutants := flag.Int("mutants", 64, "mutants: single-bit flips per workload")
 	mseeds := flag.Int("mseeds", 5, "mutants: machine seeds per mutant (incl. baseline 0)")
@@ -51,7 +49,7 @@ func main() {
 	progress := flag.Bool("progress", false, "print progress to stderr")
 	flag.Parse()
 
-	if err := run(*kind, *storeDir, *resume, *shards, *seeds, *ops, *engine,
+	if err := run(*kind, *storeDir, *resume, *shards, *seeds, *ops,
 		*lockstep, *mutants, *mseeds, *workers, *jsonOut, *progress); err != nil {
 		fmt.Fprintln(os.Stderr, "tm3270campaign:", err)
 		os.Exit(1)
@@ -64,15 +62,6 @@ func parseShard(s string) (campaign.Shard, error) {
 		return sh, fmt.Errorf("malformed -shards %q (want i/n)", s)
 	}
 	return sh, sh.Validate()
-}
-
-func parseEngine(s string) (tmsim.Engine, error) {
-	for _, e := range []tmsim.Engine{tmsim.EngineBlockCache, tmsim.EngineInterp} {
-		if e.String() == s {
-			return e, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown -engine %q", s)
 }
 
 // openStore opens the store when a directory was given, refusing to
@@ -111,7 +100,7 @@ func progressFn(enabled bool) func(done, total, cached int) {
 }
 
 func run(kind, storeDir string, resume bool, shards string, seeds, ops int,
-	engine string, lockstep, mutants, mseeds, workers int, jsonOut string, progress bool) error {
+	lockstep, mutants, mseeds, workers int, jsonOut string, progress bool) error {
 	sh, err := parseShard(shards)
 	if err != nil {
 		return err
@@ -124,14 +113,9 @@ func run(kind, storeDir string, resume bool, shards string, seeds, ops int,
 	var bad int
 	switch kind {
 	case "cosim":
-		eng, err := parseEngine(engine)
-		if err != nil {
-			return err
-		}
 		cfg := cosim.CampaignConfig{
 			Seeds:         seeds,
 			GenOps:        ops,
-			Opts:          cosim.Options{Engine: eng},
 			LockstepEvery: lockstep,
 			Workers:       workers,
 			Shard:         sh,

@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"tm3270/internal/service"
-	"tm3270/internal/tmsim"
 )
 
 func main() {
@@ -48,25 +47,19 @@ func main() {
 	runDeadline := flag.Duration("run-deadline", 30*time.Second, "default per-run wall-clock budget")
 	drainDeadline := flag.Duration("drain-deadline", 30*time.Second, "shutdown budget for in-flight runs")
 	retryAfter := flag.Duration("retry-after", time.Second, "backoff hint on shed responses")
-	engine := flag.String("engine", "", "default execution engine for sessions: blockcache (default) or interp")
 	tracePath := flag.String("trace", "", "write the serving-window span trace (Chrome trace-event JSON) here on exit")
 	spanCap := flag.Int("span-cap", 0, "span recorder bound in request trees (0 = default)")
 	logJSON := flag.Bool("log-json", true, "emit one structured JSON log line per request to stderr")
 	flag.Parse()
 
-	if _, err := tmsim.ParseEngine(*engine); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	cfg := service.Config{
-		Workers:       *workers,
-		QueueDepth:    *queue,
-		MaxSessions:   *maxSessions,
-		SessionQuota:  *quota,
-		RunDeadline:   *runDeadline,
-		RetryAfter:    *retryAfter,
-		DefaultEngine: *engine,
-		SpanCap:       *spanCap,
+		Workers:      *workers,
+		QueueDepth:   *queue,
+		MaxSessions:  *maxSessions,
+		SessionQuota: *quota,
+		RunDeadline:  *runDeadline,
+		RetryAfter:   *retryAfter,
+		SpanCap:      *spanCap,
 	}
 	if *logJSON {
 		cfg.Log = slog.New(slog.NewJSONHandler(os.Stderr, nil))

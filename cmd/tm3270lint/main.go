@@ -22,13 +22,12 @@
 // scraping the text rendering. Exit codes are unchanged.
 //
 // With -exec each statically clean workload additionally executes on
-// the machine model (engine selectable via -engine) and its outputs
-// are checked — the dynamic counterpart of the static gate.
+// the machine model and its outputs are checked — the dynamic counterpart of the static gate.
 //
 // Usage:
 //
 //	tm3270lint [-config A|B|C|D|tm3260|tm3270] [-full] [-strict] [-q]
-//	           [-json] [-parallel N] [-exec [-engine blockcache|interp]]
+//	           [-json] [-parallel N] [-exec]
 //	           [workload ...]
 package main
 
@@ -46,7 +45,6 @@ import (
 	"tm3270/internal/binverify"
 	"tm3270/internal/config"
 	"tm3270/internal/runner"
-	"tm3270/internal/tmsim"
 	"tm3270/internal/workloads"
 )
 
@@ -106,14 +104,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "write one JSON document instead of text")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent verifications")
 	exec := flag.Bool("exec", false, "also execute each verified workload and check its outputs (dynamic gate)")
-	engine := flag.String("engine", "", "execution engine for -exec: blockcache (default) or interp")
 	flag.Parse()
-
-	eng, err := tmsim.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 
 	var tgt config.Target
 	switch strings.ToUpper(*cfg) {
@@ -154,7 +145,7 @@ func main() {
 		go func() {
 			defer wg.Done()
 			for i := range idxCh {
-				reports[i] = verifyOne(names[i], p, tgt, *strict, *quiet, *exec, eng)
+				reports[i] = verifyOne(names[i], p, tgt, *strict, *quiet, *exec)
 			}
 		}()
 	}
@@ -197,10 +188,10 @@ func main() {
 }
 
 // verifyOne compiles and statically verifies a single workload,
-// rendering its report. With exec it also runs the workload on the
-// selected engine and checks its outputs (the dynamic gate).
+// rendering its report. With exec it also runs the workload and checks
+// its outputs (the dynamic gate).
 func verifyOne(name string, p workloads.Params, tgt config.Target, strict, quiet bool,
-	exec bool, eng tmsim.Engine) report {
+	exec bool) report {
 	w, err := workloads.ByName(name, p)
 	if err != nil {
 		return report{fatal: err}
@@ -250,7 +241,7 @@ func verifyOne(name string, p workloads.Params, tgt config.Target, strict, quiet
 	}
 	if exec && !bad {
 		res, runErr := runner.RunContext(context.Background(), w, tgt,
-			runner.WithArtifact(art), runner.WithEngine(eng))
+			runner.WithArtifact(art))
 		if runErr != nil {
 			fmt.Fprintf(&b, "%-16s exec FAIL: %v\n", name, runErr)
 			jw.Status = "fail"
@@ -258,8 +249,8 @@ func verifyOne(name string, p workloads.Params, tgt config.Target, strict, quiet
 			return report{text: b.String(), failed: true, jw: jw}
 		}
 		if !quiet {
-			fmt.Fprintf(&b, "%-16s exec ok: %d instrs, %d cycles [%s]\n",
-				name, res.Stats.Instrs, res.Stats.Cycles, res.Engine)
+			fmt.Fprintf(&b, "%-16s exec ok: %d instrs, %d cycles\n",
+				name, res.Stats.Instrs, res.Stats.Cycles)
 		}
 	}
 	return report{text: b.String(), failed: bad, jw: jw}

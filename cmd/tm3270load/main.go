@@ -13,16 +13,16 @@
 // service.latency.stage.* histogram must have observed exactly the
 // admitted-run count.
 //
-// Every successful reply must also name the execution engine that ran
-// it (-engine, default blockcache) and, for block-cache runs, carry
-// the translation-cache counters; a missing or mismatched engine fails
-// the campaign. Under -check-metrics the server-side per-engine run
-// counters must agree with the admitted total.
+// Every executed run's reply must also carry the translation-cache
+// counters of its block-cache run, with at least one block translated;
+// a missing block fails the campaign. Under -check-metrics the
+// server-side service.blockcache.translated total must cover every
+// admitted run.
 //
 // Usage:
 //
 //	tm3270load [-base http://127.0.0.1:8270] [-sessions 16] [-runs 8]
-//	           [-workload memcpy] [-target d] [-engine blockcache|interp]
+//	           [-workload memcpy] [-target d]
 //	           [-inject spec] [-deadline 0]
 //	           [-timeout 2m] [-check-metrics] [-v]
 package main
@@ -41,7 +41,6 @@ import (
 
 	"tm3270/internal/service"
 	"tm3270/internal/telemetry"
-	"tm3270/internal/tmsim"
 )
 
 // latencies histograms client-observed Run round-trip times per reply
@@ -91,7 +90,6 @@ func main() {
 	runs := flag.Int("runs", 8, "runs per session")
 	workload := flag.String("workload", "memcpy", "workload every session runs")
 	target := flag.String("target", "d", "processor target (a-d, tm3260, tm3270)")
-	engine := flag.String("engine", "", "execution engine for every session: blockcache (default) or interp")
 	inject := flag.String("inject", "", "fault spec for every run (kind:rate:delay)")
 	deadlineMS := flag.Int64("deadline", 0, "per-run deadline override, ms (0 = server default)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "whole-campaign budget")
@@ -99,13 +97,6 @@ func main() {
 		"audit server /metrics histograms after the campaign (well-formed buckets, stage counts == admitted)")
 	verbose := flag.Bool("v", false, "log every reply")
 	flag.Parse()
-
-	eng, err := tmsim.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	wantEngine := eng.String()
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
@@ -148,7 +139,6 @@ func main() {
 
 			info, err := c.CreateSession(ctx, service.CreateSessionRequest{
 				Workload: *workload, Target: *target,
-				Options: service.SessionOptions{Engine: *engine},
 			})
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "tm3270load: tenant %d: create: %v\n", i, err)
@@ -182,21 +172,16 @@ func main() {
 					fmt.Printf("tenant %d run %d: %s request=%s cycles=%d elapsed=%.1fms\n",
 						i, r, rep.Status, rep.RequestID, rep.Cycles, rep.ElapsedMS)
 				}
-				// Every completed run must name the engine that executed
-				// it, and block-cache runs must carry cache counters —
-				// this is the client half of the engine-telemetry
-				// contract.
-				if rep.Status == service.StatusOK {
+				// Every executed run (completed or trapped) must carry the
+				// cache counters of its block-cache run — the client half
+				// of the execution-telemetry contract.
+				if rep.Status == service.StatusOK || rep.Trap != nil {
 					switch {
-					case rep.Engine != wantEngine:
-						fmt.Fprintf(os.Stderr, "tm3270load: tenant %d run %d: engine %q, want %q\n",
-							i, r, rep.Engine, wantEngine)
+					case rep.BlockCache == nil:
+						fmt.Fprintf(os.Stderr, "tm3270load: tenant %d run %d: reply without blockcache counters\n", i, r)
 						local.failed++
-					case rep.Engine == "blockcache" && rep.BlockCache == nil:
-						fmt.Fprintf(os.Stderr, "tm3270load: tenant %d run %d: blockcache run without cache counters\n", i, r)
-						local.failed++
-					case rep.BlockCache != nil && rep.BlockCache.Translated <= 0:
-						fmt.Fprintf(os.Stderr, "tm3270load: tenant %d run %d: blockcache run translated %d blocks\n",
+					case rep.BlockCache.Translated <= 0:
+						fmt.Fprintf(os.Stderr, "tm3270load: tenant %d run %d: run translated %d blocks\n",
 							i, r, rep.BlockCache.Translated)
 						local.failed++
 					}
@@ -234,11 +219,11 @@ func main() {
 
 	fail := agg.FiveXX.Load() != 0 || tot.failed != 0
 	if *checkMetrics {
-		if err := auditMetrics(ctx, ready, wantEngine); err != nil {
+		if err := auditMetrics(ctx, ready); err != nil {
 			fmt.Fprintf(os.Stderr, "tm3270load: metrics audit: %v\n", err)
 			fail = true
 		} else {
-			fmt.Println("  metrics audit: histograms well-formed, stage and engine counts == admitted")
+			fmt.Println("  metrics audit: histograms well-formed, stage counts == admitted, blockcache translated >= admitted")
 		}
 	}
 	if fail {
@@ -251,19 +236,18 @@ func main() {
 // auditMetrics fetches /metrics and asserts the histogram invariants:
 // every histogram's bucket counts sum to its count, every
 // service.latency.stage.* histogram observed exactly once per admitted
-// run, and the per-engine run counters account for every admitted run
-// on the engine this campaign requested. The server observes the
-// encode and run stages after the reply bytes hit the wire, so a
-// just-finished campaign can race the final observations; retry
-// briefly before declaring a mismatch.
-func auditMetrics(ctx context.Context, c *service.Client, wantEngine string) error {
+// run, and every admitted run translated at least one block. The
+// server observes the encode and run stages after the reply bytes hit
+// the wire, so a just-finished campaign can race the final
+// observations; retry briefly before declaring a mismatch.
+func auditMetrics(ctx context.Context, c *service.Client) error {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		m, err := c.Metrics(ctx)
 		if err != nil {
 			return err
 		}
-		err = checkMetricsBody(m, wantEngine)
+		err = checkMetricsBody(m)
 		if err == nil || time.Now().After(deadline) {
 			return err
 		}
@@ -275,7 +259,7 @@ func auditMetrics(ctx context.Context, c *service.Client, wantEngine string) err
 	}
 }
 
-func checkMetricsBody(m *service.Metrics, wantEngine string) error {
+func checkMetricsBody(m *service.Metrics) error {
 	if len(m.Histograms) == 0 {
 		return fmt.Errorf("no histograms in /metrics")
 	}
@@ -306,26 +290,11 @@ func checkMetricsBody(m *service.Metrics, wantEngine string) error {
 	if stages == 0 {
 		return fmt.Errorf("no service.latency.stage.* histograms in /metrics")
 	}
-	// Engine accounting: every admitted run executed on exactly one
-	// engine, and this campaign is the server's only traffic, so the
-	// requested engine's counter must carry the whole admitted total.
-	bc := m.Counters["service.runs.engine.blockcache"]
-	ip := m.Counters["service.runs.engine.interp"]
-	if bc+ip != admitted {
-		return fmt.Errorf("engine run counters: blockcache %d + interp %d != admitted %d", bc, ip, admitted)
-	}
-	want := bc
-	if wantEngine == "interp" {
-		want = ip
-	}
-	if want != admitted {
-		return fmt.Errorf("engine %s ran %d of %d admitted runs (fallbacks: %d)",
-			wantEngine, want, admitted, m.Counters["service.blockcache.fallbacks"])
-	}
-	if translated := m.Counters["service.blockcache.translated"]; bc > 0 && translated < bc {
-		// Every block-cache run starts with a cold per-run cache, so it
-		// translates at least one block.
-		return fmt.Errorf("service.blockcache.translated %d < %d blockcache runs", translated, bc)
+	// Every run starts with a cold per-run block cache, so it
+	// translates at least one block; this campaign is the server's only
+	// traffic, so the translation total must cover every admitted run.
+	if translated := m.Counters["service.blockcache.translated"]; translated < admitted {
+		return fmt.Errorf("service.blockcache.translated %d < %d admitted runs", translated, admitted)
 	}
 	return nil
 }

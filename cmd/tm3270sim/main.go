@@ -64,7 +64,6 @@ func kindList() string {
 
 func main() {
 	cfg := flag.String("config", "D", "target: A, B, C, D, tm3260 or tm3270")
-	engine := flag.String("engine", "", "execution engine: blockcache (default) or interp")
 	full := flag.Bool("full", false, "paper-scale workload sizes (default: small)")
 	list := flag.Bool("list", false, "list workload names")
 	traceN := flag.Int64("trace", 0, "print an issue trace of the first N instructions")
@@ -104,12 +103,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	eng, err := tmsim.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
 	p := workloads.Small()
 	if *full {
 		p = workloads.Full()
@@ -121,7 +114,7 @@ func main() {
 	}
 
 	if *cosimRun {
-		res, err := cosim.RunWorkload(w, tgt, cosim.Options{MaxInstrs: *watchdog, Engine: eng})
+		res, err := cosim.RunWorkload(w, tgt, cosim.Options{MaxInstrs: *watchdog})
 		switch {
 		case err != nil:
 			fmt.Fprintln(os.Stderr, err)
@@ -177,7 +170,6 @@ func main() {
 
 	res, runErr := runner.RunContext(context.Background(), w, tgt,
 		runner.WithArtifact(art),
-		runner.WithEngine(eng),
 		runner.WithWatchdog(*watchdog),
 		runner.WithDeadline(*deadline),
 		runner.WithStrictMem(*strict),
@@ -239,12 +231,9 @@ func main() {
 
 	fmt.Fprintf(out, "workload    %s (%s)\n", w.Name, w.Description)
 	fmt.Fprintf(out, "target      %s @ %d MHz\n", tgt.Name, tgt.FreqMHz)
-	if bc := m.BlockCacheStats(); res.Engine == tmsim.EngineBlockCache {
-		fmt.Fprintf(out, "engine      %s (%d blocks translated, %d hits, %d invalidations)\n",
-			res.Engine, bc.Translated, bc.Hits, bc.Invalidations)
-	} else {
-		fmt.Fprintf(out, "engine      %s\n", res.Engine)
-	}
+	bc := m.BlockCacheStats()
+	fmt.Fprintf(out, "blockcache  %d blocks translated, %d hits, %d invalidations\n",
+		bc.Translated, bc.Hits, bc.Invalidations)
 	fmt.Fprintf(out, "code        %d VLIW instructions, %d bytes (%.1f B/instr), %d source ops\n",
 		art.SchedInstrs(), art.CodeBytes(),
 		float64(art.CodeBytes())/float64(art.SchedInstrs()), art.Code.SrcOps)

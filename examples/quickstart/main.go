@@ -61,9 +61,7 @@ func main() {
 
 	// Compile once per target (the Artifact is the complete, reusable
 	// build product) and run with per-run options: a wall-clock deadline
-	// and the compiled artifact itself. Runs execute on the block-cache
-	// fast path by default; WithEngine(tm3270.EngineInterp) selects the
-	// reference interpreter — both retire identical state and cycles.
+	// and the compiled artifact itself.
 	for _, tgt := range []tm3270.Target{tm3270.TM3260(), tm3270.TM3270()} {
 		art, err := tm3270.Compile(p, tgt)
 		if err != nil {
@@ -75,9 +73,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-8s %7d instrs  %7d cycles  CPI %.2f  OPI %.2f  %5d B code  %.3f ms  [%s]\n",
+		fmt.Printf("%-8s %7d instrs  %7d cycles  CPI %.2f  OPI %.2f  %5d B code  %.3f ms\n",
 			tgt.Name, r.Stats.Instrs, r.Stats.Cycles, r.Stats.CPI(), r.Stats.OPI(),
-			r.CodeBytes(), r.Seconds()*1e3, r.Engine)
+			r.CodeBytes(), r.Seconds()*1e3)
 	}
 	fmt.Println("outputs verified against the Go reference on both targets")
 }

@@ -1,21 +1,21 @@
-// Package blockcache is the translation layer of the fast-path
-// execution engine: it predecodes straight-line VLIW packet regions
-// ("blocks") into a flat struct-of-arrays micro-op form and caches the
+// Package blockcache is the translation layer of the execution loop
+// (tmsim): it predecodes straight-line VLIW packet regions ("blocks")
+// into a flat struct-of-arrays micro-op form and caches the
 // translations keyed by program counter.
 //
-// The interpreter walks the scheduled code through three indirections
-// per operation — a five-slot scan with nil/second-slot checks, an
+// Executing the scheduled code directly costs three indirections per
+// operation — a five-slot scan with nil/second-slot checks, an
 // opcode-table lookup for the static description, and a virtual-to-
 // physical register map — plus a label-map lookup per taken jump.
 // A translated block pays all of that exactly once: the micro-op
 // stream carries pre-resolved physical register indices, the target's
 // result latency, the executable semantics as a direct function value,
 // the effective-address mode and width of memory operations, and jump
-// targets resolved to instruction indices. The cycle/stall model
-// (instruction cache, data cache, bus) is untouched — a block also
-// keeps the per-instruction fetch address and size the timing model
-// needs — so the fast path retires the same cycle counts as the
-// interpreter, only faster.
+// targets resolved to instruction indices. A block also keeps the
+// per-instruction fetch address and size the cycle/stall model
+// (instruction cache, data cache, bus) needs; the per-slot view the
+// observability hooks want stays in the scheduled code, which the loop
+// reads by instruction index only when a hook is armed.
 //
 // Blocks are immutable after translation. The cache is instance-scoped
 // (one per machine run) and supports invalidation by encoded byte
@@ -206,7 +206,7 @@ func (c *Cache) Cached() int {
 // instruction index entry. It fails only on static inconsistencies a
 // scheduled code image cannot legally contain (an operation latency
 // beyond the engine's pending-write horizon); unknown jump labels are
-// deferred to execution time, exactly like the interpreter.
+// deferred to execution time, when a jump to one is taken.
 func Translate(code *sched.Code, rm *regalloc.Map, enc *encode.Encoded, t *config.Target, entry int) (*Block, error) {
 	if entry < 0 || entry >= len(code.Instrs) {
 		return nil, fmt.Errorf("blockcache: entry %d outside code of %d instructions", entry, len(code.Instrs))
@@ -297,7 +297,7 @@ func Translate(code *sched.Code, rm *regalloc.Map, enc *encode.Encoded, t *confi
 		if hasJump {
 			// The block ends at the jump-carrying instruction; its delay
 			// window spans into the following blocks, tracked by the
-			// engine's redirect state, exactly like the interpreter's.
+			// engine's redirect state.
 			break
 		}
 	}

@@ -1,6 +1,6 @@
 // Package campaign is the scale-out layer of the verification stack: a
 // generic engine that models a campaign as a deterministic matrix of
-// work units (program seed × target × engine × mutant × machine seed),
+// work units (program seed × target × mutant × machine seed),
 // content-addresses each unit, persists results to an append-only
 // on-disk store, and fans units out across a bounded worker pool.
 //
@@ -53,8 +53,6 @@ type Unit struct {
 	Ops int `json:"ops,omitempty"`
 	// Target is the processor configuration name.
 	Target string `json:"target,omitempty"`
-	// Engine is the pipeline model's execution engine.
-	Engine string `json:"engine,omitempty"`
 	// Mutant is the image-mutation seed (mutant units).
 	Mutant int64 `json:"mutant,omitempty"`
 	// MSeed is the machine seed perturbing initial register/memory

@@ -96,12 +96,11 @@ func (c *CampaignConfig) Spec() string {
 // sample-gated into lockstep mode.
 func (c *CampaignConfig) UnitMatrix() []campaign.Unit {
 	c.fill()
-	eng := c.Opts.Engine.String()
 	var units []campaign.Unit
 	for _, name := range workloads.Names() {
 		for i := range c.Targets {
 			units = append(units, campaign.Unit{
-				Kind: KindWorkload, Name: name, Target: c.Targets[i].Name, Engine: eng,
+				Kind: KindWorkload, Name: name, Target: c.Targets[i].Name,
 			})
 		}
 	}
@@ -110,7 +109,7 @@ func (c *CampaignConfig) UnitMatrix() []campaign.Unit {
 		for i := range c.Targets {
 			u := campaign.Unit{
 				Kind: KindGenerated, Seed: seed, Ops: c.GenOps,
-				Target: c.Targets[i].Name, Engine: eng,
+				Target: c.Targets[i].Name,
 			}
 			if c.LockstepEvery > 0 && n%c.LockstepEvery == 0 {
 				u.Lockstep = true

@@ -43,13 +43,6 @@ type Options struct {
 	// name — so the run agrees exactly when both models trap the same
 	// way, or neither does.
 	StrictMem bool
-	// Engine selects the pipeline model's execution engine (the zero
-	// value is the blockcache fast path), making the harness double as
-	// the fast-vs-interp equivalence gate: a blockcache sweep holds the
-	// fast path to the same independent oracle the interpreter already
-	// conforms to — including the lockstep rerun, which rides the
-	// fast path's InstrHook support.
-	Engine tmsim.Engine
 	// Lockstep diffs intermediate state in the bulk pass itself: the
 	// run executes once with the per-instruction hook armed, checking
 	// the full register file at every instruction boundary and the
@@ -185,7 +178,6 @@ func (r *run) newPair(dec []encode.DecInstr, opts Options) (*tmsim.Machine, *ref
 	ref := refmodel.New(dec, r.t, refImage)
 	sim.MaxInstrs, ref.MaxInstrs = opts.MaxInstrs, opts.MaxInstrs
 	sim.StrictMem, ref.StrictMem = opts.StrictMem, opts.StrictMem
-	sim.Engine = opts.Engine
 	for reg, v := range r.args {
 		sim.SetPhysReg(reg, v)
 		ref.SetReg(reg, v)

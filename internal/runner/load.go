@@ -10,11 +10,11 @@ import (
 
 // Loaded is a machine-ready execution handle: one immutable compile
 // artifact loaded against one private memory image, with the per-run
-// options — engine selection included — already applied. It is the
-// typed composition point for precompiled-artifact execution: build an
-// Artifact once (Compile / CompileWorkload / the batch cache), then
-// Load it any number of times; every handle owns its machine and image,
-// so concurrent handles never share mutable state.
+// options already applied. It is the typed composition point for
+// precompiled-artifact execution: build an Artifact once (Compile /
+// CompileWorkload / the batch cache), then Load it any number of
+// times; every handle owns its machine and image, so concurrent
+// handles never share mutable state.
 //
 // Loaded replaces the old pattern of constructing a tmsim machine from
 // the artifact's three fields and poking run flags onto it one by one.
@@ -30,8 +30,7 @@ type Loaded struct {
 
 // Load builds an execution handle for a precompiled artifact: a fresh
 // machine over the given memory image with the options applied. A nil
-// image gets a fresh empty one. Engine selection composes here without
-// flag plumbing: Load(a, img, WithEngine(tmsim.EngineInterp)).
+// image gets a fresh empty one.
 func Load(a *Artifact, image *mem.Func, opts ...Option) *Loaded {
 	var o Options
 	for _, opt := range opts {
@@ -46,7 +45,6 @@ func loadWith(a *Artifact, image *mem.Func, o *Options) *Loaded {
 		image = mem.NewFunc()
 	}
 	m := tmsim.Load(a.Code, a.RegMap, a.Enc, image)
-	m.Engine = o.Engine
 	m.MaxInstrs = o.Watchdog
 	m.Deadline = o.Deadline
 	m.StrictMem = o.StrictMem
@@ -69,10 +67,6 @@ func loadWith(a *Artifact, image *mem.Func, o *Options) *Loaded {
 func (l *Loaded) RunContext(ctx context.Context) error {
 	return l.Machine.RunContext(ctx)
 }
-
-// Engine returns the engine that actually executed (after any
-// automatic fallback). Meaningful after RunContext.
-func (l *Loaded) Engine() tmsim.Engine { return l.Machine.EngineUsed }
 
 // BlockCacheStats returns the translation-cache counters of the run.
 func (l *Loaded) BlockCacheStats() blockcache.Stats {

@@ -61,11 +61,6 @@ type Options struct {
 	StrictMem bool
 	// Verify gates execution on the whole-program static verifier.
 	Verify bool
-	// Engine selects the execution engine. The zero value is the
-	// predecoded block-cache fast path (with automatic interpreter
-	// fallback when a run arms features it does not support);
-	// tmsim.EngineInterp forces the reference interpreter.
-	Engine tmsim.Engine
 	// Telemetry, when non-nil, is the run's observability sink.
 	Telemetry *Telemetry
 	// Artifact, when non-nil, skips compilation and loads the machine
@@ -95,12 +90,6 @@ func WithStrictMem(on bool) Option { return func(o *Options) { o.StrictMem = on 
 // cycle executes and refuses the run on any error-severity diagnostic.
 func WithVerify(on bool) Option { return func(o *Options) { o.Verify = on } }
 
-// WithEngine selects the execution engine (tmsim.EngineBlockCache, the
-// default, or tmsim.EngineInterp). The block-cache engine falls back to
-// the interpreter automatically when the run arms features it does not
-// support; Result.Engine reports what actually executed.
-func WithEngine(e tmsim.Engine) Option { return func(o *Options) { o.Engine = e } }
-
 // WithTelemetry attaches a per-run observability sink.
 func WithTelemetry(t *Telemetry) Option { return func(o *Options) { o.Telemetry = t } }
 
@@ -117,9 +106,6 @@ type Result struct {
 	Stats    tmsim.Stats
 	Machine  *tmsim.Machine
 	Artifact *Artifact
-	// Engine is the engine that actually executed the run — the
-	// requested one, or the interpreter after an automatic fallback.
-	Engine tmsim.Engine
 }
 
 // Seconds returns the wall-clock time of the run at the target's
@@ -195,7 +181,6 @@ func RunContext(ctx context.Context, w *workloads.Spec, t config.Target, opts ..
 	res := &Result{Workload: w.Name, Target: t, Machine: m, Artifact: art}
 	runErr := ld.RunContext(ctx)
 	res.Stats = m.Stats
-	res.Engine = m.EngineUsed
 	if o.Telemetry != nil {
 		o.Telemetry.Registry = m.Registry()
 		o.Telemetry.Snapshot = o.Telemetry.Registry.Snapshot()

@@ -59,11 +59,6 @@ type Config struct {
 	// RetryAfter is the backoff hint attached to every shed response
 	// (default 1s).
 	RetryAfter time.Duration
-	// DefaultEngine is the execution engine for sessions that do not
-	// pick one ("blockcache" or "interp"; empty means blockcache). The
-	// value must parse with tmsim.ParseEngine — the daemon validates
-	// its flag before constructing the server.
-	DefaultEngine string
 	// Cache memoizes compile artifacts across sessions; nil allocates a
 	// private one.
 	Cache *runner.Cache
@@ -111,9 +106,7 @@ type counters struct {
 	shedQueue, shedQuota, shedDraining, shedSessions atomic.Int64
 	runsOK, runsTrap, runsTimeout, runsCanceled      atomic.Int64
 	runsCheckFailed, runsPanic                       atomic.Int64
-	runsBlockCache, runsInterp                       atomic.Int64
 	bcTranslated, bcHits, bcInvalidations            atomic.Int64
-	bcFallbacks                                      atomic.Int64
 	panics, quarantines                              atomic.Int64
 	sessionsCreated, sessionsDeleted                 atomic.Int64
 }
@@ -195,12 +188,9 @@ func (s *Server) register() {
 	s.reg.Func("service.runs.canceled", c.runsCanceled.Load)
 	s.reg.Func("service.runs.checkfail", c.runsCheckFailed.Load)
 	s.reg.Func("service.runs.panic", c.runsPanic.Load)
-	s.reg.Func("service.runs.engine.blockcache", c.runsBlockCache.Load)
-	s.reg.Func("service.runs.engine.interp", c.runsInterp.Load)
 	s.reg.Func("service.blockcache.translated", c.bcTranslated.Load)
 	s.reg.Func("service.blockcache.hits", c.bcHits.Load)
 	s.reg.Func("service.blockcache.invalidations", c.bcInvalidations.Load)
-	s.reg.Func("service.blockcache.fallbacks", c.bcFallbacks.Load)
 	s.reg.Func("service.shed.queue", c.shedQueue.Load)
 	s.reg.Func("service.shed.quota", c.shedQuota.Load)
 	s.reg.Func("service.shed.draining", c.shedDraining.Load)

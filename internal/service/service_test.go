@@ -40,7 +40,7 @@ func newClient(ts *httptest.Server) *service.Client {
 // happy path. The run must complete with status ok and real cycle
 // counts, and the session counters must reflect it.
 func TestRunLifecycle(t *testing.T) {
-	_, ts := newServer(t, service.Config{})
+	srv, ts := newServer(t, service.Config{})
 	c := newClient(ts)
 	ctx := context.Background()
 
@@ -64,6 +64,11 @@ func TestRunLifecycle(t *testing.T) {
 	}
 	if len(rep.Counters) == 0 {
 		t.Error("telemetry requested but no counters attached")
+	}
+	if rep.BlockCache == nil || rep.BlockCache.Translated <= 0 {
+		t.Errorf("reply carries no block-cache counters: %+v", rep.BlockCache)
+	} else if got := srv.Snapshot()["service.blockcache.translated"]; got != rep.BlockCache.Translated {
+		t.Errorf("service.blockcache.translated = %d, reply says %d", got, rep.BlockCache.Translated)
 	}
 
 	got, err := c.Session(ctx, info.ID)

@@ -50,10 +50,6 @@ type SessionOptions struct {
 	StrictMem bool `json:"strict_mem,omitempty"`
 	// Verify gates each run on the whole-program static verifier.
 	Verify bool `json:"verify,omitempty"`
-	// Engine selects the execution engine for the session's runs:
-	// "blockcache" (default; the predecoded fast path with automatic
-	// interpreter fallback) or "interp". Empty means blockcache.
-	Engine string `json:"engine,omitempty"`
 	// Quota bounds the session's concurrent in-flight runs (0 = server
 	// default).
 	Quota int `json:"quota,omitempty"`
@@ -107,9 +103,6 @@ type RunRequest struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Telemetry attaches the run's full counter snapshot to the reply.
 	Telemetry bool `json:"telemetry,omitempty"`
-	// Engine overrides the session's execution engine for this run only
-	// ("blockcache" or "interp"; empty keeps the session setting).
-	Engine string `json:"engine,omitempty"`
 }
 
 // TrapInfo is the structured trap detail of a faulted run.
@@ -122,8 +115,7 @@ type TrapInfo struct {
 	Issue  int64  `json:"issue"`
 }
 
-// BlockCacheInfo is the translation-cache activity of one run on the
-// block-cache engine.
+// BlockCacheInfo is the translation-cache activity of one run.
 type BlockCacheInfo struct {
 	Translated    int64 `json:"translated"`
 	Hits          int64 `json:"hits"`
@@ -143,11 +135,8 @@ type RunReply struct {
 	CPI       float64   `json:"cpi,omitempty"`
 	OPI       float64   `json:"opi,omitempty"`
 	Faults    int       `json:"faults,omitempty"` // injected fault events
-	// Engine is the engine that actually executed the run ("blockcache"
-	// or "interp" — the latter possibly via automatic fallback).
-	Engine string `json:"engine,omitempty"`
-	// BlockCache carries the translation-cache counters when the run
-	// executed on the block-cache engine.
+	// BlockCache carries the translation-cache counters of every run
+	// that executed.
 	BlockCache *BlockCacheInfo    `json:"blockcache,omitempty"`
 	ElapsedMS  float64            `json:"elapsed_ms"`
 	Counters   telemetry.Snapshot `json:"counters,omitempty"`
@@ -304,12 +293,6 @@ func (s *Server) CreateSession(req CreateSessionRequest) (*SessionInfo, error) {
 	if opts.Quota <= 0 {
 		opts.Quota = s.cfg.SessionQuota
 	}
-	if opts.Engine == "" {
-		opts.Engine = s.cfg.DefaultEngine
-	}
-	if _, err := tmsim.ParseEngine(opts.Engine); err != nil {
-		return nil, &APIError{Code: 400, Msg: err.Error()}
-	}
 	ctx, cancel := context.WithCancel(s.rootCtx)
 	sess := &Session{
 		workload:   w,
@@ -394,9 +377,6 @@ func (s *Server) Retune(id string, opts SessionOptions) (*SessionInfo, error) {
 	sess, ok := s.session(id)
 	if !ok {
 		return nil, &APIError{Code: 404, Msg: fmt.Sprintf("no session %q", id)}
-	}
-	if _, err := tmsim.ParseEngine(opts.Engine); err != nil {
-		return nil, &APIError{Code: 400, Msg: err.Error()}
 	}
 	sess.mu.Lock()
 	if opts.Quota <= 0 {
@@ -493,9 +473,6 @@ func (s *Server) Submit(ctx context.Context, id string, req RunRequest) (<-chan 
 		if _, err := faults.ParseSpec(req.Inject); err != nil {
 			return nil, &APIError{Code: 400, Msg: err.Error()}
 		}
-	}
-	if _, err := tmsim.ParseEngine(req.Engine); err != nil {
-		return nil, &APIError{Code: 400, Msg: err.Error()}
 	}
 	sess, ok := s.session(id)
 	if !ok {
@@ -656,23 +633,10 @@ func (s *Server) execute(sess *Session, req RunRequest, seq int64, ri *requestIn
 		return rep
 	}
 
-	// The run's engine: the per-run override wins, then the session
-	// setting; both were validated at the API edge, so a parse failure
-	// here is an internal inconsistency.
-	engName := opts.Engine
-	if req.Engine != "" {
-		engName = req.Engine
-	}
-	eng, err := tmsim.ParseEngine(engName)
-	if err != nil {
-		rep.Status, rep.Error = StatusError, err.Error()
-		return rep
-	}
 	ropts := []runner.Option{
 		runner.WithArtifact(art),
 		runner.WithStrictMem(opts.StrictMem),
 		runner.WithVerify(opts.Verify),
-		runner.WithEngine(eng),
 	}
 	if opts.WatchdogInstrs > 0 {
 		ropts = append(ropts, runner.WithWatchdog(opts.WatchdogInstrs))
@@ -703,26 +667,15 @@ func (s *Server) execute(sess *Session, req RunRequest, seq int64, ri *requestIn
 		rep.Instrs = res.Stats.Instrs
 		rep.CPI = res.Stats.CPI()
 		rep.OPI = res.Stats.OPI()
-		rep.Engine = res.Engine.String()
-		switch res.Engine {
-		case tmsim.EngineBlockCache:
-			bc := res.Machine.BlockCacheStats()
-			rep.BlockCache = &BlockCacheInfo{
-				Translated:    bc.Translated,
-				Hits:          bc.Hits,
-				Invalidations: bc.Invalidations,
-			}
-			s.c.runsBlockCache.Add(1)
-			s.c.bcTranslated.Add(bc.Translated)
-			s.c.bcHits.Add(bc.Hits)
-			s.c.bcInvalidations.Add(bc.Invalidations)
-		default:
-			s.c.runsInterp.Add(1)
-			if eng == tmsim.EngineBlockCache {
-				// Requested blockcache, executed interp: fallback.
-				s.c.bcFallbacks.Add(1)
-			}
+		bc := res.Machine.BlockCacheStats()
+		rep.BlockCache = &BlockCacheInfo{
+			Translated:    bc.Translated,
+			Hits:          bc.Hits,
+			Invalidations: bc.Invalidations,
 		}
+		s.c.bcTranslated.Add(bc.Translated)
+		s.c.bcHits.Add(bc.Hits)
+		s.c.bcInvalidations.Add(bc.Invalidations)
 		res.Machine.AnnotateSpan(eSpan)
 	}
 	eSpan.End()

@@ -7,78 +7,44 @@ import (
 	"testing"
 
 	"tm3270/internal/config"
+	"tm3270/internal/mem"
 	"tm3270/internal/prog"
+	"tm3270/internal/telemetry"
 	"tm3270/internal/tmsim"
 )
 
-func TestParseEngine(t *testing.T) {
-	cases := []struct {
-		in   string
-		want tmsim.Engine
-	}{
-		{"", tmsim.EngineBlockCache},
-		{"blockcache", tmsim.EngineBlockCache},
-		{"interp", tmsim.EngineInterp},
-	}
-	for _, c := range cases {
-		got, err := tmsim.ParseEngine(c.in)
-		if err != nil || got != c.want {
-			t.Errorf("ParseEngine(%q) = %v, %v; want %v", c.in, got, err, c.want)
-		}
-	}
-	if _, err := tmsim.ParseEngine("fast"); err == nil {
-		t.Error("ParseEngine accepted an unknown selector")
-	}
-	if tmsim.EngineBlockCache.String() != "blockcache" || tmsim.EngineInterp.String() != "interp" {
-		t.Error("Engine.String does not round-trip the selector spellings")
-	}
-	var zero tmsim.Engine
-	if zero != tmsim.EngineBlockCache {
-		t.Error("the zero Engine is not the blockcache default")
-	}
+// split is the cycle accounting of a run: cycles, instructions, issued
+// operations and the per-cause stall split.
+type split struct{ cycles, instrs, ops, fetch, jump, dmiss, dinfl, dcwb int64 }
+
+func statSplit(m *tmsim.Machine) split {
+	s := &m.Stats
+	return split{s.Cycles, s.Instrs, s.Ops, s.FetchStalls, s.JumpStalls,
+		s.DataMissStalls, s.DataInFlightStalls, s.DataCWBStalls}
 }
 
-// runBoth executes the program on both engines from identical initial
-// state and requires identical architectural results and identical
-// cycle/stall accounting. It returns the blockcache machine for
-// engine-specific assertions.
-func runBothEngines(t *testing.T, build func() *prog.Program, tgt config.Target,
-	setup func(*tmsim.Machine)) *tmsim.Machine {
+// runPinned executes the program and requires the cycle accounting and
+// the named registers to equal the pinned values, which were taken
+// from the reference interpreter the execution loop replaced.
+func runPinned(t *testing.T, p *prog.Program, tgt config.Target, setup func(*tmsim.Machine),
+	want split, regs map[prog.VReg]uint32) *tmsim.Machine {
 	t.Helper()
-	run := func(eng tmsim.Engine) *tmsim.Machine {
-		m := buildMachine(t, build(), tgt, nil)
-		m.Engine = eng
-		if setup != nil {
-			setup(m)
-		}
-		if err := m.RunContext(context.Background()); err != nil {
-			t.Fatalf("%v run: %v", eng, err)
-		}
-		if m.EngineUsed != eng {
-			t.Fatalf("EngineUsed = %v, want %v", m.EngineUsed, eng)
-		}
-		return m
+	m := buildMachine(t, p, tgt, nil)
+	if setup != nil {
+		setup(m)
 	}
-	ref := run(tmsim.EngineInterp)
-	fast := run(tmsim.EngineBlockCache)
-
-	if rs, fs := ref.RegSnapshot(), fast.RegSnapshot(); rs != fs {
-		for i := range rs {
-			if rs[i] != fs[i] {
-				t.Errorf("r%d = %#x (interp) vs %#x (blockcache)", i, rs[i], fs[i])
-			}
+	if err := m.RunContext(context.Background()); err != nil {
+		t.Fatalf("%s run: %v", tgt.Name, err)
+	}
+	if got := statSplit(m); got != want {
+		t.Errorf("%s: stat split\n  got  %+v\n  want %+v", tgt.Name, got, want)
+	}
+	for r, v := range regs {
+		if got := m.Reg(r); got != v {
+			t.Errorf("%s: v%d = %#x, want %#x", tgt.Name, r, got, v)
 		}
 	}
-	type split struct{ cycles, instrs, ops, fetch, jump, dmiss, dinfl, dcwb int64 }
-	stalls := func(m *tmsim.Machine) split {
-		s := &m.Stats
-		return split{s.Cycles, s.Instrs, s.Ops, s.FetchStalls, s.JumpStalls,
-			s.DataMissStalls, s.DataInFlightStalls, s.DataCWBStalls}
-	}
-	if rs, fs := stalls(ref), stalls(fast); rs != fs {
-		t.Errorf("stat split diverged:\n  interp     %+v\n  blockcache %+v", rs, fs)
-	}
-	return fast
+	return m
 }
 
 // TestCrossBlockDelaySlotRedirect: a translated block ends at its
@@ -86,11 +52,13 @@ func runBothEngines(t *testing.T, build func() *prog.Program, tgt config.Target,
 // branch redirects out of one block while its delay slots execute at
 // the head of the next — the redirect state must survive the block
 // switch with the architectural results and the cycle/stall split
-// identical to the interpreter's.
+// unchanged.
 func TestCrossBlockDelaySlotRedirect(t *testing.T) {
+	var i, acc prog.VReg
 	build := func() *prog.Program {
 		b := prog.NewBuilder("crossblock")
-		i, cond, acc := b.Reg(), b.Reg(), b.Reg()
+		var cond prog.VReg
+		i, cond, acc = b.Reg(), b.Reg(), b.Reg()
 		b.Imm(i, 0)
 		b.Imm(acc, 0)
 		b.Label("loop")
@@ -101,14 +69,21 @@ func TestCrossBlockDelaySlotRedirect(t *testing.T) {
 		b.AddI(acc, acc, 7) // tail: lives in the next block, runs in the delay window
 		return b.MustProgram()
 	}
-	for _, tgt := range []config.Target{config.TM3260(), config.TM3270()} {
-		fast := runBothEngines(t, build, tgt, nil)
-		bc := fast.BlockCacheStats()
+	for _, c := range []struct {
+		tgt  config.Target
+		want split
+	}{
+		{config.TM3260(), split{cycles: 1852, instrs: 1802, ops: 1203, fetch: 50}},
+		{config.TM3270(), split{cycles: 2451, instrs: 2402, ops: 1203, fetch: 49}},
+	} {
+		p := build()
+		m := runPinned(t, p, c.tgt, nil, c.want, map[prog.VReg]uint32{i: 300, acc: 45157})
+		bc := m.BlockCacheStats()
 		if bc.Translated < 2 {
-			t.Errorf("%s: %d blocks translated, want >= 2 (loop + tail)", tgt.Name, bc.Translated)
+			t.Errorf("%s: %d blocks translated, want >= 2 (loop + tail)", c.tgt.Name, bc.Translated)
 		}
 		if bc.Hits < 100 {
-			t.Errorf("%s: %d cache hits over 300 iterations, the loop is not reusing its block", tgt.Name, bc.Hits)
+			t.Errorf("%s: %d cache hits over 300 iterations, the loop is not reusing its block", c.tgt.Name, bc.Hits)
 		}
 	}
 }
@@ -116,26 +91,22 @@ func TestCrossBlockDelaySlotRedirect(t *testing.T) {
 // TestSMCInvalidationDropsBlocks: a store landing in the encoded code
 // range must invalidate the overlapping translations — including the
 // block being executed — and the run must retranslate and complete
-// with results identical to the interpreter's.
+// with unchanged results.
 func TestSMCInvalidationDropsBlocks(t *testing.T) {
-	var base prog.VReg
-	build := func() *prog.Program {
-		b := prog.NewBuilder("smc")
-		i, cond, v := b.Reg(), b.Reg(), b.Reg()
-		base = b.Reg()
-		b.Imm(i, 0)
-		b.Imm(v, 0xdead)
-		b.Label("loop")
-		b.St32D(base, 0, v) // lands at CodeBase: self-modifying
-		b.AddI(i, i, 1)
-		b.NeqI(cond, i, 8)
-		b.JmpT(cond, "loop")
-		return b.MustProgram()
-	}
-	fast := runBothEngines(t, build, config.TM3270(), func(m *tmsim.Machine) {
-		m.SetReg(base, tmsim.CodeBase)
-	})
-	bc := fast.BlockCacheStats()
+	b := prog.NewBuilder("smc")
+	i, cond, v, base := b.Reg(), b.Reg(), b.Reg(), b.Reg()
+	b.Imm(i, 0)
+	b.Imm(v, 0xdead)
+	b.Label("loop")
+	b.St32D(base, 0, v) // lands at CodeBase: self-modifying
+	b.AddI(i, i, 1)
+	b.NeqI(cond, i, 8)
+	b.JmpT(cond, "loop")
+	m := runPinned(t, b.MustProgram(), config.TM3270(),
+		func(m *tmsim.Machine) { m.SetReg(base, tmsim.CodeBase) },
+		split{cycles: 114, instrs: 65, ops: 34, fetch: 49},
+		map[prog.VReg]uint32{i: 8, v: 0xdead, base: tmsim.CodeBase})
+	bc := m.BlockCacheStats()
 	if bc.Invalidations == 0 {
 		t.Fatal("stores into the code range invalidated nothing")
 	}
@@ -145,94 +116,144 @@ func TestSMCInvalidationDropsBlocks(t *testing.T) {
 	}
 	// The stored word must actually be in memory at the code address
 	// (stores are big-endian: 0x0000dead ends with byte 0xad).
-	if got := fast.Mem.ByteAt(tmsim.CodeBase + 3); got != 0xad {
+	if got := m.Mem.ByteAt(tmsim.CodeBase + 3); got != 0xad {
 		t.Errorf("code byte after SMC store = %#x, want 0xad", got)
 	}
 }
 
-func TestObservabilityFallsBackToInterp(t *testing.T) {
-	m := buildMachine(t, spinProgram("fallback", 50), config.TM3270(), nil)
-	var sb strings.Builder
-	m.Trace = &sb // tracing is interpreter-only
-	if err := m.RunContext(context.Background()); err != nil {
-		t.Fatalf("run: %v", err)
+// strideProgram loads and rewrites one word per 128-byte stride, so
+// every iteration misses the data cache.
+func strideProgram() *prog.Program {
+	b := prog.NewBuilder("stride")
+	p, i, cond, v, acc := b.Reg(), b.Reg(), b.Reg(), b.Reg(), b.Reg()
+	b.Imm(p, 0x10_0000)
+	b.Imm(i, 0)
+	b.Imm(acc, 0)
+	b.Label("loop")
+	b.Ld32D(v, p, 0)
+	b.Add(acc, acc, v)
+	b.St32D(p, 0, acc)
+	b.AddI(p, p, 128)
+	b.AddI(i, i, 1)
+	b.NeqI(cond, i, 200)
+	b.JmpT(cond, "loop")
+	return b.MustProgram()
+}
+
+// TestObservabilityIsPassive: arming the instruction trace, the event
+// trace and the profile must not perturb the run — Stats, registers,
+// memory and the translation-cache counters equal the unarmed run's —
+// and the armed run still executes on the block cache.
+func TestObservabilityIsPassive(t *testing.T) {
+	run := func(armed bool) (*tmsim.Machine, *mem.Func, string) {
+		image := mem.NewFunc()
+		m := buildMachine(t, strideProgram(), config.TM3270(), image)
+		var sb strings.Builder
+		if armed {
+			m.Trace = &sb
+			m.SetEventTrace(telemetry.NewTrace(0))
+			m.EnableProfile()
+		}
+		if err := m.RunContext(context.Background()); err != nil {
+			t.Fatalf("armed=%v run: %v", armed, err)
+		}
+		return m, image, sb.String()
 	}
-	if m.EngineUsed != tmsim.EngineInterp {
-		t.Errorf("EngineUsed = %v, want interp fallback under tracing", m.EngineUsed)
+	plain, plainMem, _ := run(false)
+	obs, obsMem, text := run(true)
+
+	if plain.Stats != obs.Stats {
+		t.Errorf("Stats differ:\n  unarmed %+v\n  armed   %+v", plain.Stats, obs.Stats)
 	}
-	if m.FallbackRuns != 1 {
-		t.Errorf("FallbackRuns = %d, want 1", m.FallbackRuns)
+	if plain.RegSnapshot() != obs.RegSnapshot() {
+		t.Error("register file differs between the unarmed and armed runs")
 	}
-	if bc := m.BlockCacheStats(); bc.Translated != 0 {
-		t.Errorf("fallback run still translated %d blocks", bc.Translated)
+	if addr, diff := mem.Diff(plainMem, obsMem); diff {
+		t.Errorf("memory differs at %#x", addr)
+	}
+	pb, ob := plain.BlockCacheStats(), obs.BlockCacheStats()
+	if pb != ob {
+		t.Errorf("BlockCacheStats differ: unarmed %+v, armed %+v", pb, ob)
+	}
+	if ob.Translated == 0 {
+		t.Error("the armed run translated no blocks: it did not execute on the block cache")
 	}
 
-	// An explicit interp selection is not a fallback.
-	m2 := buildMachine(t, spinProgram("explicit", 50), config.TM3270(), nil)
-	m2.Engine = tmsim.EngineInterp
-	if err := m2.RunContext(context.Background()); err != nil {
-		t.Fatalf("run: %v", err)
+	// The hooks were actually served.
+	if obs.Stats.DataStalls == 0 || obs.Stats.FetchStalls == 0 {
+		t.Fatalf("program stalls too little to exercise the hooks: %+v", obs.Stats)
 	}
-	if m2.FallbackRuns != 0 {
-		t.Errorf("explicit interp counted %d fallbacks", m2.FallbackRuns)
+	if got := obs.Profile.TotalCycles(); got != obs.Stats.Cycles {
+		t.Errorf("profile attributes %d cycles, run took %d", got, obs.Stats.Cycles)
+	}
+	if got := obs.Profile.Total(telemetry.CauseDataMiss); got != obs.Stats.DataMissStalls {
+		t.Errorf("profile data-miss cycles %d, run stalled %d", got, obs.Stats.DataMissStalls)
+	}
+	if lines := strings.Count(text, "\n"); lines != 200 {
+		t.Errorf("trace has %d lines, want the default limit of 200", lines)
+	}
+	var issues, redirects int
+	for _, e := range obs.Events.Events() {
+		switch {
+		case e.Cat == "issue":
+			issues++
+		case e.Name == "redirect":
+			redirects++
+		}
+	}
+	if int64(issues) != obs.Stats.Ops {
+		t.Errorf("%d issue events, want one per issued operation (%d)", issues, obs.Stats.Ops)
+	}
+	if int64(redirects) != obs.Stats.Taken {
+		t.Errorf("%d redirect events, want one per taken jump (%d)", redirects, obs.Stats.Taken)
 	}
 }
 
 // TestWatchdogParityMidBlock: the instruction-count watchdog must fire
-// at the same issue on both engines even when the limit lands in the
-// middle of a translated block.
+// at the issue, cycle and PC the reference interpreter reported, even
+// when the limit lands in the middle of a translated block.
 func TestWatchdogParityMidBlock(t *testing.T) {
-	for _, eng := range []tmsim.Engine{tmsim.EngineInterp, tmsim.EngineBlockCache} {
-		m := buildMachine(t, spinProgram("wd", 0), config.TM3270(), nil)
-		m.Engine = eng
-		m.MaxInstrs = 777 // deliberately not a block or poll boundary
-		trap := wantTrap(t, m, tmsim.TrapWatchdog)
-		if trap.Issue != 777 {
-			t.Errorf("%v: watchdog fired at issue %d, want 777", eng, trap.Issue)
-		}
+	m := buildMachine(t, spinProgram("wd", 0), config.TM3270(), nil)
+	m.MaxInstrs = 777 // deliberately not a block or poll boundary
+	trap := wantTrap(t, m, tmsim.TrapWatchdog)
+	if trap.Issue != 777 || trap.Cycle != 826 || trap.PC != 0x100001c {
+		t.Errorf("watchdog fired at issue %d cycle %d pc %#x, want issue 777 cycle 826 pc 0x100001c",
+			trap.Issue, trap.Cycle, trap.PC)
 	}
 }
 
+// TestCancellationParity: a canceled context stops the run with a
+// TrapCanceled that unwraps to the context error.
 func TestCancellationParity(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, eng := range []tmsim.Engine{tmsim.EngineInterp, tmsim.EngineBlockCache} {
-		m := buildMachine(t, spinProgram("cancel", 0), config.TM3270(), nil)
-		m.Engine = eng
-		m.MaxInstrs = 1 << 40
-		err := m.RunContext(ctx)
-		var trap *tmsim.TrapError
-		if !errors.As(err, &trap) || trap.Kind != tmsim.TrapCanceled {
-			t.Fatalf("%v: canceled run returned %v, want TrapCanceled", eng, err)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("%v: trap does not unwrap to context.Canceled", eng)
-		}
+	m := buildMachine(t, spinProgram("cancel", 0), config.TM3270(), nil)
+	m.MaxInstrs = 1 << 40
+	err := m.RunContext(ctx)
+	var trap *tmsim.TrapError
+	if !errors.As(err, &trap) || trap.Kind != tmsim.TrapCanceled {
+		t.Fatalf("canceled run returned %v, want TrapCanceled", err)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Error("trap does not unwrap to context.Canceled")
 	}
 }
 
-// TestTrapParityMidBlock: a precise memory trap must surface
-// identically from the middle of a translated block.
+// TestTrapParityMidBlock: a precise memory trap must surface from the
+// middle of a translated block at the address, issue, cycle and PC the
+// reference interpreter reported.
 func TestTrapParityMidBlock(t *testing.T) {
-	build := func() *prog.Program {
-		b := prog.NewBuilder("trapmid")
-		a, v := b.Reg(), b.Reg()
-		b.Imm(a, 0x4000_0000)
-		b.AddI(a, a, 4)
-		b.Ld32D(v, a, 0) // strict mode: unmapped
-		b.St32D(a, 4, v)
-		return b.MustProgram()
-	}
-	var traps [2]*tmsim.TrapError
-	for i, eng := range []tmsim.Engine{tmsim.EngineInterp, tmsim.EngineBlockCache} {
-		m := buildMachine(t, build(), config.TM3270(), nil)
-		m.Engine = eng
-		m.StrictMem = true
-		traps[i] = wantTrap(t, m, tmsim.TrapUnmappedLoad)
-	}
-	if traps[0].Addr != traps[1].Addr || traps[0].Issue != traps[1].Issue || traps[0].Cycle != traps[1].Cycle {
-		t.Errorf("trap location diverged: interp addr=%#x issue=%d cycle=%d, blockcache addr=%#x issue=%d cycle=%d",
-			traps[0].Addr, traps[0].Issue, traps[0].Cycle,
-			traps[1].Addr, traps[1].Issue, traps[1].Cycle)
+	b := prog.NewBuilder("trapmid")
+	a, v := b.Reg(), b.Reg()
+	b.Imm(a, 0x4000_0000)
+	b.AddI(a, a, 4)
+	b.Ld32D(v, a, 0) // strict mode: unmapped
+	b.St32D(a, 4, v)
+	m := buildMachine(t, b.MustProgram(), config.TM3270(), nil)
+	m.StrictMem = true
+	trap := wantTrap(t, m, tmsim.TrapUnmappedLoad)
+	if trap.Addr != 0x40000004 || trap.Issue != 2 || trap.Cycle != 51 || trap.PC != 0x1000022 {
+		t.Errorf("trap at addr=%#x issue=%d cycle=%d pc=%#x, want addr=0x40000004 issue=2 cycle=51 pc=0x1000022",
+			trap.Addr, trap.Issue, trap.Cycle, trap.PC)
 	}
 }

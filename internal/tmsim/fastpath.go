@@ -9,15 +9,16 @@ import (
 	"tm3270/internal/dcache"
 	"tm3270/internal/isa"
 	"tm3270/internal/prefetch"
+	"tm3270/internal/telemetry"
 )
 
-// fastPend is one in-flight register write of the fast path.
+// fastPend is one in-flight register write of the execution loop.
 type fastPend struct {
 	reg isa.Reg
 	val uint32
 }
 
-// pendHorizon is the fast path's commit horizon: in-flight writes are
+// pendHorizon is the execution loop's commit horizon: in-flight writes are
 // kept in a ring of pendHorizon slots indexed by (due issue & mask).
 // Every slot is drained exactly when its issue arrives, so the ring is
 // unambiguous as long as no result latency reaches the horizon —
@@ -95,20 +96,25 @@ func (p *fastRing) commitSpill(issue int64, regs *[isa.NumRegs]uint32) {
 	p.spill = kept
 }
 
-// drain applies every remaining write in ascending due order, the
-// fast-path analog of the interpreter's final commit(issue+64).
+// drain applies every remaining write in ascending due order, so the
+// final register state is observable after the last instruction.
 func (p *fastRing) drain(issue int64, regs *[isa.NumRegs]uint32) {
 	for k := int64(0); k < pendHorizon; k++ {
 		p.commit(issue+k, regs)
 	}
 }
 
-// runFast is the blockcache execution loop. It runs the same cycle and
-// stall model as runInterp — identical instruction-cache fetches, data-
-// cache accesses, redirect timing, watchdog/deadline/cancellation
-// cadence and trap semantics — over predecoded micro-op blocks instead
-// of the scheduled slot structures. Cycle-exactness against runInterp
-// is enforced by TestEnginesAgree and the differential cosim gate.
+// runFast is the execution loop: it runs the cycle and stall model —
+// instruction-cache fetches, data-cache accesses, redirect timing,
+// watchdog/deadline/cancellation cadence and trap semantics — over the
+// predecoded micro-op blocks of internal/blockcache. Its results are
+// pinned by the execution golden (internal/runner TestExecGolden) and
+// checked against the reference model by the differential cosim gate.
+//
+// The observability hooks (Trace, Events, Profile) are served out of
+// line behind one predictable branch on obs, so an unarmed run pays a
+// single flag test per hook site. Armed, they read the scheduled
+// instruction at idx, which the predecoded block does not carry.
 func (m *Machine) runFast(ctx context.Context) error {
 	if m.bc == nil {
 		m.bc = blockcache.New(m.Code, m.RegMap, m.Enc, &m.Target)
@@ -123,10 +129,10 @@ func (m *Machine) runFast(ctx context.Context) error {
 	regs := m.regs.Raw()
 
 	// The encoded code occupies [codeLo, codeHi); stores landing there
-	// are self-modifying and invalidate overlapping translations. (The
-	// architectural effect matches the interpreter exactly: code is not
-	// re-decoded from memory, so a dropped block retranslates to the
-	// same micro-ops — the invalidation is a cache-management event.)
+	// are self-modifying and invalidate overlapping translations. (Code
+	// is not re-decoded from memory, so a dropped block retranslates to
+	// the same micro-ops — the invalidation is a cache-management event
+	// with no architectural effect.)
 	var codeLo, codeHi uint32
 	if len(m.Enc.Addr) > 0 {
 		codeLo = m.Enc.Addr[0]
@@ -149,6 +155,7 @@ func (m *Machine) runFast(ctx context.Context) error {
 		haveChunk bool
 	)
 	nInstrs := len(m.Code.Instrs)
+	obs := m.Trace != nil || m.Events != nil || m.Profile != nil
 	var ectx isa.ExecContext
 	ectx.Mem = bus
 
@@ -196,12 +203,18 @@ func (m *Machine) runFast(ctx context.Context) error {
 					if redirected {
 						m.Stats.JumpStalls += st
 					}
+					if obs {
+						m.observeFetchStall(cycle, idx, st, redirected)
+					}
 					cycle += st
 				}
 				curChunk, haveChunk = b.ChunkHi[bi], true
 			}
 			redirected = false
 			m.rec.record(cycle, issue, idx)
+			if obs {
+				m.observeIssue(cycle, issue, idx)
+			}
 
 			lo, hi := b.OpFirst[bi], b.OpFirst[bi+1]
 			// Ops counts primary slot operations regardless of guard —
@@ -225,7 +238,8 @@ func (m *Machine) runFast(ctx context.Context) error {
 				// branchless and safe: unused slots index r0. Writes of
 				// this same instruction land via the pending ring at
 				// issue+latency ≥ issue+1, so fusing gather and execute
-				// per op preserves the interpreter's two-phase reads.
+				// per op still reads every operand from pre-instruction
+				// state, as the exposed pipeline does.
 				ectx.Src[0] = regs[op.Src[0]&127]
 				ectx.Src[1] = regs[op.Src[1]&127]
 				ectx.Src[2] = regs[op.Src[2]&127]
@@ -265,6 +279,11 @@ func (m *Machine) runFast(ctx context.Context) error {
 							m.Stats.DataMissStalls += ds.StallMiss - pm
 							m.Stats.DataInFlightStalls += ds.StallInFlight - pi
 							m.Stats.DataCWBStalls += ds.StallCWB - pw
+							if obs {
+								m.Profile.Add(idx, telemetry.CauseDataMiss, ds.StallMiss-pm)
+								m.Profile.Add(idx, telemetry.CauseDataInFlight, ds.StallInFlight-pi)
+								m.Profile.Add(idx, telemetry.CauseDataCWB, ds.StallCWB-pw)
+							}
 							cycle += st
 						}
 						if f&blockcache.FlagStore != 0 && addr < codeHi && addr+uint32(size) > codeLo {
@@ -318,6 +337,10 @@ func (m *Machine) runFast(ctx context.Context) error {
 				m.IC.Redirect()
 				redirected = true
 				haveChunk = false
+				if obs && m.Events != nil {
+					m.Events.Instant(telemetry.LaneFetch, "redirect", "jump", cycle,
+						map[string]any{"to": m.Enc.Addr[redirectTo]})
+				}
 				break
 			}
 			idx++
@@ -327,4 +350,69 @@ func (m *Machine) runFast(ctx context.Context) error {
 	pend.drain(issue, regs)
 	m.Stats.Cycles = cycle
 	return nil
+}
+
+// observeFetchStall attributes a fetch stall of st cycles before the
+// instruction at idx: the first fetch after a taken-jump redirect pays
+// the jump penalty, every other one a sequential fetch stall.
+func (m *Machine) observeFetchStall(cycle int64, idx int, st int64, redirected bool) {
+	cause, name := telemetry.CauseFetch, "stall:fetch"
+	if redirected {
+		cause, name = telemetry.CauseJump, "stall:jump"
+	}
+	m.Profile.Add(idx, cause, st)
+	if m.Events != nil {
+		m.Events.Complete(telemetry.LaneFetch, name, "stall", cycle, st,
+			map[string]any{"pc": m.Enc.Addr[idx]})
+	}
+}
+
+// observeIssue serves the armed hooks for the instruction at idx as it
+// issues, before any of its operations executes (so its per-slot issue
+// events precede the data-cache events it causes): the execute cycle
+// of the profile, the Trace line for the first TraceLimit instructions
+// (default 200), and one issue event per primary slot for the first
+// TraceLimit instructions (default 10000). The event's exec flag is the
+// guard read from pre-instruction register state.
+func (m *Machine) observeIssue(cycle, issue int64, idx int) {
+	m.Profile.Add(idx, telemetry.CauseExecute, 1)
+	in := &m.Code.Instrs[idx]
+	if m.Trace != nil {
+		limit := m.TraceLimit
+		if limit == 0 {
+			limit = 200
+		}
+		if issue < limit {
+			m.trace(cycle, issue, idx, in)
+		}
+	}
+	issueEvents := int64(10_000)
+	if m.TraceLimit > 0 {
+		issueEvents = m.TraceLimit
+	}
+	if m.Events == nil || issue >= issueEvents {
+		return
+	}
+	for s := 0; s < 5; s++ {
+		so := in.Slots[s]
+		if so.Op == nil || so.Second {
+			continue
+		}
+		info := so.Op.Info()
+		g := m.regs.Read(m.RegMap.Reg(so.Op.Guard))&1 == 1
+		if info.GuardInverted {
+			g = !g
+		}
+		m.Events.Complete(s+1, info.Name, "issue", cycle, 1,
+			map[string]any{"pc": m.Enc.Addr[idx], "exec": g})
+	}
+}
+
+// BlockCacheStats returns the translation-cache counters of the last
+// (or in-progress) run; zero before the first run on this machine.
+func (m *Machine) BlockCacheStats() blockcache.Stats {
+	if m.bc == nil {
+		return blockcache.Stats{}
+	}
+	return m.bc.Stats
 }

@@ -29,13 +29,11 @@ func (m *Machine) Registry() *telemetry.Registry {
 	r.Counter("sim.jumps", &s.Jumps)
 	r.Counter("sim.jumps.taken", &s.Taken)
 
-	// Fast-path engine activity: translation-cache counters read live
-	// from the block cache (zero until a blockcache run starts), plus
-	// the interpreter-fallback count.
+	// Translation-cache counters, read live from the block cache (zero
+	// until a run starts).
 	r.Func("sim.blockcache.translated", func() int64 { return m.BlockCacheStats().Translated })
 	r.Func("sim.blockcache.hits", func() int64 { return m.BlockCacheStats().Hits })
 	r.Func("sim.blockcache.invalidations", func() int64 { return m.BlockCacheStats().Invalidations })
-	r.Counter("sim.blockcache.fallbacks", &m.FallbackRuns)
 
 	// Disjoint stall causes (see StallCounterNames): stall.fetch is the
 	// sequential fetch stall with the jump penalty carved out.

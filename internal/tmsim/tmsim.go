@@ -97,7 +97,6 @@ type Machine struct {
 	PF  *prefetch.Unit
 
 	regs isa.RegFile
-	pend []pendWrite
 
 	// MaxInstrs aborts runaway executions (0 = default limit) with a
 	// watchdog trap.
@@ -141,31 +140,12 @@ type Machine struct {
 	// index by cause (EnableProfile allocates it).
 	Profile *telemetry.Profile
 
-	// Engine selects the execution engine; the zero value is the
-	// blockcache fast path. See Engine for the fallback rules.
-	Engine Engine
-
-	// EngineUsed records the engine that actually executed the last
-	// RunContext (after any automatic fallback).
-	EngineUsed Engine
-
-	// FallbackRuns counts runs that requested the blockcache engine but
-	// fell back to the interpreter because an unsupported observability
-	// feature was armed.
-	FallbackRuns int64
-
 	bc *blockcache.Cache
 
 	rec   *recorder
 	curOp string // mnemonic of the memory op in flight (trap context)
 
 	Stats Stats
-}
-
-type pendWrite struct {
-	at  int64 // issue index at which the write commits
-	reg isa.Reg
-	val uint32
 }
 
 // New schedules nothing itself: it takes scheduled code, allocates an
@@ -281,26 +261,7 @@ func (b busMem) Store(addr uint32, n int, v uint64) {
 	b.f.Store(addr, n, v)
 }
 
-// effAddr computes the effective address and size of a memory
-// operation given its gathered source values.
-func effAddr(op *prog.Op, src *[4]uint32) (uint32, int) {
-	info := op.Info()
-	switch op.Opcode {
-	case isa.OpLD32R, isa.OpLD16R, isa.OpULD16R, isa.OpLD8R, isa.OpULD8R,
-		isa.OpSUPERLD32R:
-		return src[0] + src[1], info.MemBytes
-	case isa.OpLDFRAC8:
-		return src[0], info.MemBytes
-	default:
-		// Displacement forms (loads, stores, allocd).
-		return src[0] + op.Imm, info.MemBytes
-	}
-}
-
-// RunContext executes the loaded kernel to completion on the selected
-// Engine (the zero value is the blockcache fast path; a run arming an
-// observability feature the fast path cannot serve falls back to the
-// interpreter, recorded in EngineUsed and FallbackRuns). Execution
+// RunContext executes the loaded kernel to completion. Execution
 // faults — malformed memory accesses, control-flow violations,
 // watchdog and deadline expiry, and any internal panic of the
 // simulator core — are returned as a *TrapError carrying the PC,
@@ -334,251 +295,7 @@ func (m *Machine) RunContext(ctx context.Context) (err error) {
 		err = t
 	}()
 
-	eng := m.Engine
-	if eng == EngineBlockCache && m.fastUnsupported() {
-		m.FallbackRuns++
-		eng = EngineInterp
-	}
-	m.EngineUsed = eng
-	if eng == EngineBlockCache {
-		return m.runFast(ctx)
-	}
-	return m.runInterp(ctx)
-}
-
-// runInterp is the reference execution loop: it walks the scheduled
-// code slot by slot, serving every observability hook. The recover
-// boundary lives in RunContext.
-func (m *Machine) runInterp(ctx context.Context) error {
-	maxInstrs := m.MaxInstrs
-	if maxInstrs == 0 {
-		maxInstrs = 2_000_000_000
-	}
-	start := time.Now()
-	bus := busMem{f: m.Mem, pf: m.PF, strict: m.StrictMem}
-	delay := int64(m.Target.JumpDelaySlots)
-
-	var (
-		cycle         int64
-		issue         int64
-		idx           int
-		redirectAfter int64 = -1
-		redirectTo    int
-		redirected    bool // next fetch follows a taken-jump redirect
-	)
-	issueEvents := int64(10_000)
-	if m.TraceLimit > 0 {
-		issueEvents = m.TraceLimit
-	}
-
-	type slotEval struct {
-		op      *prog.Op
-		ctx     isa.ExecContext
-		execute bool
-	}
-	evals := make([]slotEval, 0, 5)
-
-	for idx < len(m.Code.Instrs) {
-		if issue >= maxInstrs {
-			return m.trap(TrapWatchdog, cycle, issue, idx,
-				fmt.Sprintf("exceeded %d instructions", maxInstrs))
-		}
-		if issue&0x1fff == 0 {
-			if m.Deadline > 0 && time.Since(start) > m.Deadline {
-				return m.trap(TrapDeadline, cycle, issue, idx,
-					fmt.Sprintf("exceeded wall-clock deadline %v", m.Deadline))
-			}
-			if cerr := ctx.Err(); cerr != nil {
-				t := m.trap(TrapCanceled, cycle, issue, idx,
-					fmt.Sprintf("run canceled: %v", cerr))
-				t.Cause = cerr
-				return t
-			}
-		}
-		// Commit in-flight register writes due at this instruction.
-		m.commit(issue)
-
-		if m.InstrHook != nil {
-			m.InstrHook(cycle, issue, idx)
-		}
-
-		// Instruction fetch. Stalls on the first fetch after a redirect
-		// are the dynamic jump penalty (the discarded instruction
-		// buffer); the rest are sequential fetch stalls.
-		if st := m.IC.Fetch(cycle, m.Enc.Addr[idx], m.Enc.Size[idx]); st > 0 {
-			m.Stats.FetchStalls += st
-			cause, name := telemetry.CauseFetch, "stall:fetch"
-			if redirected {
-				m.Stats.JumpStalls += st
-				cause, name = telemetry.CauseJump, "stall:jump"
-			}
-			m.Profile.Add(idx, cause, st)
-			if m.Events != nil {
-				m.Events.Complete(telemetry.LaneFetch, name, "stall", cycle, st,
-					map[string]any{"pc": m.Enc.Addr[idx]})
-			}
-			cycle += st
-		}
-		redirected = false
-		m.Profile.Add(idx, telemetry.CauseExecute, 1)
-
-		in := &m.Code.Instrs[idx]
-		m.rec.record(cycle, issue, idx)
-
-		if m.Trace != nil {
-			limit := m.TraceLimit
-			if limit == 0 {
-				limit = 200
-			}
-			if issue < limit {
-				m.trace(cycle, issue, idx, in)
-			}
-		}
-
-		// Phase 1: gather operands against pre-instruction state.
-		evals = evals[:0]
-		for s := 0; s < 5; s++ {
-			so := in.Slots[s]
-			if so.Op == nil || so.Second {
-				continue
-			}
-			op := so.Op
-			info := op.Info()
-			m.Stats.Ops++
-			g := m.regs.Read(m.RegMap.Reg(op.Guard))&1 == 1
-			if info.GuardInverted {
-				g = !g
-			}
-			ev := slotEval{op: op, execute: g}
-			ev.ctx.Imm = op.Imm
-			ev.ctx.Mem = bus
-			for k := 0; k < info.NSrc; k++ {
-				ev.ctx.Src[k] = m.regs.Read(m.RegMap.Reg(op.Src[k]))
-			}
-			if m.Events != nil && issue < issueEvents {
-				m.Events.Complete(s+1, info.Name, "issue", cycle, 1,
-					map[string]any{"pc": m.Enc.Addr[idx], "exec": g})
-			}
-			evals = append(evals, ev)
-		}
-
-		// Phase 2: execute.
-		for i := range evals {
-			ev := &evals[i]
-			if !ev.execute {
-				continue
-			}
-			m.Stats.ExecOps++
-			op := ev.op
-			info := op.Info()
-
-			if info.IsLoad || info.IsStore {
-				m.curOp = info.Name
-				addr, size := effAddr(op, &ev.ctx.Src)
-				mmio := m.PF != nil && prefetch.IsMMIO(addr)
-				if info.IsLoad {
-					m.Stats.LoadOps++
-				} else {
-					m.Stats.StoreOps++
-				}
-				if !mmio {
-					kind := dcache.Load
-					switch {
-					case op.Opcode == isa.OpALLOCD:
-						kind = dcache.Alloc
-					case info.IsStore:
-						kind = dcache.Store
-					}
-					// The cache attributes its stall cycles by cause;
-					// the deltas across the access split DataStalls.
-					ds := &m.DC.Stats
-					pm, pi, pw := ds.StallMiss, ds.StallInFlight, ds.StallCWB
-					if st := m.DC.Access(cycle, addr, size, kind); st > 0 {
-						m.Stats.DataStalls += st
-						m.Stats.DataMissStalls += ds.StallMiss - pm
-						m.Stats.DataInFlightStalls += ds.StallInFlight - pi
-						m.Stats.DataCWBStalls += ds.StallCWB - pw
-						m.Profile.Add(idx, telemetry.CauseDataMiss, ds.StallMiss-pm)
-						m.Profile.Add(idx, telemetry.CauseDataInFlight, ds.StallInFlight-pi)
-						m.Profile.Add(idx, telemetry.CauseDataCWB, ds.StallCWB-pw)
-						cycle += st
-					}
-				}
-			}
-
-			info.Exec(&ev.ctx)
-
-			lat := int64(m.Target.OpLatency(op.Opcode))
-			for k := 0; k < info.NDest; k++ {
-				m.pend = append(m.pend, pendWrite{
-					at:  issue + lat,
-					reg: m.RegMap.Reg(op.Dest[k]),
-					val: ev.ctx.Dest[k],
-				})
-			}
-
-			if info.IsJump {
-				m.Stats.Jumps++
-				if ev.ctx.Taken {
-					m.Stats.Taken++
-					if redirectAfter >= 0 {
-						t := m.trap(TrapDelayViolation, cycle, issue, idx,
-							fmt.Sprintf("jump taken inside the delay window of the jump at issue %d", redirectAfter-delay))
-						t.Op = op.Info().Name
-						return t
-					}
-					ti, ok := m.Code.Labels[op.Target]
-					if !ok {
-						t := m.trap(TrapUnknownLabel, cycle, issue, idx,
-							fmt.Sprintf("jump to unknown label %q", op.Target))
-						t.Op = op.Info().Name
-						return t
-					}
-					redirectAfter = issue + delay
-					redirectTo = ti
-				}
-			}
-		}
-
-		cycle++
-		m.Stats.Instrs++
-		issue++
-
-		if redirectAfter >= 0 && issue > redirectAfter {
-			idx = redirectTo
-			redirectAfter = -1
-			m.IC.Redirect()
-			redirected = true
-			if m.Events != nil {
-				m.Events.Instant(telemetry.LaneFetch, "redirect", "jump", cycle,
-					map[string]any{"to": m.Enc.Addr[redirectTo]})
-			}
-		} else {
-			idx++
-		}
-	}
-	// Drain in-flight writes so final register state is observable.
-	m.commit(issue + 64)
-	m.Stats.Cycles = cycle
-	return nil
-}
-
-// commit applies pending register writes due at or before the given
-// issue index, in insertion order (which is program order thanks to the
-// scheduler's WAW discipline).
-func (m *Machine) commit(issue int64) {
-	if len(m.pend) == 0 {
-		return
-	}
-	kept := m.pend[:0]
-	for _, w := range m.pend {
-		if w.at <= issue {
-			m.regs.Write(w.reg, w.val)
-		} else {
-			kept = append(kept, w)
-		}
-	}
-	m.pend = kept
+	return m.runFast(ctx)
 }
 
 // trace emits one instruction record.

@@ -1,14 +1,14 @@
 #!/bin/sh
 # serve_smoke.sh: end-to-end service gate. Boots tm3270d on an
 # ephemeral port, drives it with tm3270load (which asserts zero 5xx,
-# zero failed requests, that every ok reply names the block-cache
-# engine and carries its translation counters, and — via -check-metrics
-# — that /metrics serves well-formed histograms whose per-stage bucket
-# sums equal the admitted-run count and per-engine run counters that
-# account for every admitted run), then SIGTERMs the daemon and asserts
-# the drain
-# completed cleanly with every in-flight response delivered
-# (admitted == completed in the final counter flush). The observability
+# zero failed requests, that every executed run's reply carries its
+# block-cache translation counters, and — via -check-metrics — that
+# /metrics serves well-formed histograms whose per-stage bucket sums
+# equal the admitted-run count and a service.blockcache.translated
+# total that covers every admitted run), then SIGTERMs the daemon and
+# asserts the drain completed cleanly with every in-flight response
+# delivered (admitted == completed in the final counter flush, and at
+# least one block translated per admitted run). The observability
 # plumbing is gated too: the exported span trace must hold real span
 # events, and a request ID sampled from the trace must join to a
 # structured log line in the daemon's stderr.
@@ -55,9 +55,14 @@ if ! grep -q "drained cleanly" "$TMP/daemon.log"; then
 fi
 admitted=$(sed -n 's/.*"service\.runs\.admitted": *\([0-9]*\).*/\1/p' "$TMP/daemon.log" | tail -1)
 completed=$(sed -n 's/.*"service\.runs\.completed": *\([0-9]*\).*/\1/p' "$TMP/daemon.log" | tail -1)
+translated=$(sed -n 's/.*"service\.blockcache\.translated": *\([0-9]*\).*/\1/p' "$TMP/daemon.log" | tail -1)
 if [ -z "$admitted" ] || [ "$admitted" != "$completed" ]; then
     echo "serve-smoke: FAIL — admitted=${admitted:-?} completed=${completed:-?}; runs were dropped" >&2
     cat "$TMP/daemon.log" >&2
+    exit 1
+fi
+if [ -z "$translated" ] || [ "$translated" -lt "$admitted" ]; then
+    echo "serve-smoke: FAIL — blockcache translated=${translated:-?} < admitted=$admitted" >&2
     exit 1
 fi
 

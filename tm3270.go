@@ -91,33 +91,12 @@ type Result = runner.Result
 // construction, so concurrent runs cannot race on shared telemetry.
 type Telemetry = runner.Telemetry
 
-// Engine selects the execution engine of a run. The zero value is
-// EngineBlockCache — the predecoded basic-block fast path — which
-// falls back to EngineInterp automatically when a run arms features
-// the fast path does not support (event traces, profiles). Both
-// engines retire identical architectural state and identical cycle
-// and stall counters; the cosim gate enforces it.
-type Engine = tmsim.Engine
-
-// Execution engines.
-const (
-	// EngineBlockCache is the predecoded basic-block fast path
-	// (default).
-	EngineBlockCache = tmsim.EngineBlockCache
-	// EngineInterp is the reference slot-walking interpreter.
-	EngineInterp = tmsim.EngineInterp
-)
-
-// ParseEngine parses an engine name ("blockcache", "interp"; "" means
-// the default) as used by the -engine flags and the service API.
-func ParseEngine(s string) (Engine, error) { return tmsim.ParseEngine(s) }
-
 // Loaded is a machine-ready execution handle: one compiled Artifact
 // loaded against a private memory image with per-run options applied.
-// It composes precompiled-artifact execution with engine selection:
+// It composes precompiled-artifact execution with run options:
 //
 //	art, _ := tm3270.Compile(p, tgt)
-//	ld := tm3270.Load(art, nil, tm3270.WithEngine(tm3270.EngineInterp))
+//	ld := tm3270.Load(art, nil, tm3270.WithWatchdog(1_000_000))
 //	err := ld.RunContext(ctx)
 type Loaded = runner.Loaded
 
@@ -147,10 +126,6 @@ func WithTelemetry(t *Telemetry) RunOption { return runner.WithTelemetry(t) }
 
 // WithArtifact runs a precompiled artifact instead of compiling again.
 func WithArtifact(a *Artifact) RunOption { return runner.WithArtifact(a) }
-
-// WithEngine selects the execution engine; Result.Engine reports what
-// actually executed (the fast path may fall back to the interpreter).
-func WithEngine(e Engine) RunOption { return runner.WithEngine(e) }
 
 // Batch is the concurrent workload x target matrix executor: bounded
 // parallelism, compile-artifact caching, deterministic job-ordered
