@@ -60,6 +60,10 @@ bench:
 bench-smoke:
 	$(GO) test -run=NONE -bench='Verify|WCET' -benchtime=1x ./internal/runner/
 
+# campaign: the seeded fault-injection campaign (208 runs, each
+# classified detected, masked or not-injected) followed by the
+# 256-mutant x 5-machine-seed matrix, which prints the static and the
+# combined static+differential detection rates.
 campaign:
 	$(GO) run ./cmd/tm3270bench -faults
 

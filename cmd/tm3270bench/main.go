@@ -13,6 +13,12 @@
 // aggregation is job-ordered and every run isolated, so -json output
 // is byte-identical for any -parallel value.
 //
+// -faults runs the seeded fault-injection campaign and then the
+// mutant × machine-seed matrix (faults.RunMatrixCampaign), whose
+// summary carries the static and the combined detection rates. -cosim
+// runs the conformance campaign on the campaign engine
+// (cosim.RunCampaign) and fails on any divergence.
+//
 // Usage:
 //
 //	tm3270bench [-quick] [-parallel N] [-json out.json] [-table1]
@@ -21,6 +27,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -143,29 +150,15 @@ func main() {
 				return err
 			}
 			res.PrintSummary(os.Stdout)
-			// The static counterpart: seeded single-bit image flips that
-			// still decode must be flagged by binverify before execution.
+			// The mutant matrix: seeded single-bit image flips are
+			// classified by the decoder and binverify, and every
+			// statically-missed mutant executes on the reference model
+			// under several machine seeds (randomized initial register
+			// and memory state) and diffs against the golden run.
+			// Machine seed 0 alone is the single-initial-state
+			// differential campaign.
 			fmt.Println()
-			sres, err := faults.RunStaticCampaign(faults.StaticConfig{}, nil)
-			if err != nil {
-				return err
-			}
-			sres.PrintSummary(os.Stdout)
-			// And the combined gate: statically-missed mutants execute on
-			// the architectural reference model and diff against the
-			// golden run.
-			fmt.Println()
-			dres, err := faults.RunDifferentialCampaign(faults.StaticConfig{}, nil)
-			if err != nil {
-				return err
-			}
-			dres.PrintSummary(os.Stdout)
-			// Finally the full matrix: every mutant differentially executed
-			// under multiple machine seeds (randomized initial register and
-			// memory state), which strips the masking a single fixed
-			// initial state offers.
-			fmt.Println()
-			mres, err := faults.RunMatrixCampaign(faults.MatrixConfig{})
+			mres, err := faults.RunMatrixCampaign(context.Background(), faults.MatrixConfig{})
 			if err != nil {
 				return err
 			}
@@ -177,7 +170,7 @@ func main() {
 		run("cosim", func() error {
 			// The pipeline model runs the campaign against the
 			// architectural reference model and must diverge zero times.
-			camp, err := cosim.RunCampaign(cosim.CampaignConfig{Params: &p})
+			camp, err := cosim.RunCampaign(context.Background(), cosim.CampaignConfig{Params: &p})
 			if err != nil {
 				return err
 			}

@@ -129,7 +129,7 @@ func run(kind, storeDir string, resume bool, shards string, seeds, ops int,
 			defer st.Close()
 			cfg.Store = st
 		}
-		camp, err := cosim.RunCampaignContext(ctx, cfg)
+		camp, err := cosim.RunCampaign(ctx, cfg)
 		if err != nil {
 			return err
 		}
@@ -137,7 +137,7 @@ func run(kind, storeDir string, resume bool, shards string, seeds, ops int,
 		agg, stats, bad = camp.Aggregate, camp.Stats, len(camp.Divergent)
 	case "mutants":
 		cfg := faults.MatrixConfig{
-			Static:   faults.StaticConfig{Mutants: mutants},
+			Mutants:  mutants,
 			MSeeds:   mseeds,
 			Workers:  workers,
 			Shard:    sh,
@@ -151,7 +151,7 @@ func run(kind, storeDir string, resume bool, shards string, seeds, ops int,
 			defer st.Close()
 			cfg.Store = st
 		}
-		res, err := faults.RunMatrixCampaignContext(ctx, cfg)
+		res, err := faults.RunMatrixCampaign(ctx, cfg)
 		if err != nil {
 			return err
 		}

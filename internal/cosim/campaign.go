@@ -212,15 +212,10 @@ type Campaign struct {
 
 // RunCampaign executes the sweep on the campaign engine. Divergences
 // are collected, not returned as errors; harness failures (compile
-// errors, init failures) abort immediately.
-func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
-	return RunCampaignContext(context.Background(), cfg)
-}
-
-// RunCampaignContext is RunCampaign with cooperative cancellation: a
-// canceled campaign stops dispatching units and returns the context's
-// error, leaving any store resumable.
-func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*Campaign, error) {
+// errors, init failures) abort immediately. Cancelling ctx stops
+// dispatching units and returns the context's error, leaving any
+// store resumable.
+func RunCampaign(ctx context.Context, cfg CampaignConfig) (*Campaign, error) {
 	cfg.fill()
 	units := cfg.UnitMatrix()
 	r := newUnitRunner(&cfg)

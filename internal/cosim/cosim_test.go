@@ -30,7 +30,7 @@ func TestConformanceCampaign(t *testing.T) {
 	if testing.Short() {
 		cfg.Seeds = 50
 	}
-	c, err := RunCampaign(cfg)
+	c, err := RunCampaign(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,7 @@ import (
 	"tm3270/internal/mem"
 	"tm3270/internal/prefetch"
 	"tm3270/internal/prog"
-	"tm3270/internal/regalloc"
-	"tm3270/internal/sched"
-	"tm3270/internal/tmsim"
+	"tm3270/internal/runner"
 	"tm3270/internal/workloads"
 )
 
@@ -31,6 +29,10 @@ const (
 	// the workload's own check failed, or memory differs from the
 	// sequential reference beyond the injection sites.
 	DetectedDivergence
+	// NotInjected: the run completed like a masked one, but the
+	// injector never fired (no populated page to flip, no prefetch to
+	// drop), so the run says nothing about fault propagation.
+	NotInjected
 )
 
 // String names the outcome for campaign reports.
@@ -40,6 +42,8 @@ func (o Outcome) String() string {
 		return "detected-trap"
 	case DetectedDivergence:
 		return "detected-divergence"
+	case NotInjected:
+		return "not-injected"
 	}
 	return "masked"
 }
@@ -78,14 +82,12 @@ type CampaignConfig struct {
 
 func (c *CampaignConfig) fill() {
 	if len(c.Workloads) == 0 {
-		c.Workloads = []string{"memset", "memcpy", "filter", "blockwalk_pf"}
+		c.Workloads = defaultWorkloads()
 	}
 	if len(c.Specs) == 0 {
-		c.Specs = []Spec{
-			{Kind: BitFlip},
-			{Kind: LoadFlip, Rate: 0.002},
-			{Kind: LineFlip, Rate: 0.05},
-			{Kind: DropPrefetch, Rate: 0.25},
+		for _, s := range []string{"bitflip", "loadflip:0.002", "lineflip:0.05", "droppf:0.25"} {
+			sp, _ := ParseSpec(s)
+			c.Specs = append(c.Specs, sp)
 		}
 	}
 	if c.Seeds <= 0 {
@@ -107,6 +109,13 @@ func (c *CampaignConfig) fill() {
 	}
 }
 
+// defaultWorkloads is the campaign set of both the fault campaign and
+// the mutant matrix; blockwalk_pf is in it so prefetch-path injectors
+// have traffic.
+func defaultWorkloads() []string {
+	return []string{"memset", "memcpy", "filter", "blockwalk_pf"}
+}
+
 // CampaignResult aggregates a full campaign.
 type CampaignResult struct {
 	Reports []RunReport
@@ -118,10 +127,10 @@ func (r *CampaignResult) Runs() int { return len(r.Reports) }
 
 // RunCampaign executes Seeds seeded runs of every (workload, injector)
 // pair and classifies each as detected (trap or divergence against the
-// sequential reference) or masked. Every run is bounded by the
-// instruction watchdog and the wall-clock deadline, and internal panics
-// surface as traps — a campaign never hangs and never panics. When w is
-// non-nil, one classification line per run is printed.
+// sequential reference), masked, or not injected. Every run is bounded
+// by the instruction watchdog and the wall-clock deadline, and internal
+// panics surface as traps — a campaign never hangs and never panics.
+// When w is non-nil, one classification line per run is printed.
 func RunCampaign(cfg CampaignConfig, w io.Writer) (*CampaignResult, error) {
 	cfg.fill()
 	res := &CampaignResult{Counts: map[Outcome]int{}}
@@ -151,8 +160,8 @@ func RunCampaign(cfg CampaignConfig, w io.Writer) (*CampaignResult, error) {
 
 // PrintSummary renders the aggregate counts.
 func (r *CampaignResult) PrintSummary(w io.Writer) {
-	fmt.Fprintf(w, "fault campaign: %d runs, %d detected-trap, %d detected-divergence, %d masked\n",
-		r.Runs(), r.Counts[DetectedTrap], r.Counts[DetectedDivergence], r.Counts[Masked])
+	fmt.Fprintf(w, "fault campaign: %d runs, %d detected-trap, %d detected-divergence, %d masked, %d not-injected\n",
+		r.Runs(), r.Counts[DetectedTrap], r.Counts[DetectedDivergence], r.Counts[Masked], r.Counts[NotInjected])
 }
 
 // referenceImage runs the workload on the sequential reference
@@ -192,11 +201,7 @@ func runOne(name string, cfg CampaignConfig, spec Spec, seed int64, ref *mem.Fun
 	if err != nil {
 		return nil, err
 	}
-	code, err := sched.Schedule(w.Prog, *cfg.Target)
-	if err != nil {
-		return nil, err
-	}
-	rm, err := regalloc.Allocate(w.Prog)
+	art, err := runner.CompileWorkload(w, *cfg.Target)
 	if err != nil {
 		return nil, err
 	}
@@ -206,20 +211,15 @@ func runOne(name string, cfg CampaignConfig, spec Spec, seed int64, ref *mem.Fun
 			return nil, err
 		}
 	}
-	m, err := tmsim.New(code, rm, image)
-	if err != nil {
-		return nil, err
-	}
-	m.MaxInstrs = cfg.MaxInstrs
-	m.Deadline = cfg.Deadline
+	l := runner.Load(art, image, runner.WithWatchdog(cfg.MaxInstrs), runner.WithDeadline(cfg.Deadline))
 	for v, val := range w.Args {
-		m.SetReg(v, val)
+		l.Machine.SetReg(v, val)
 	}
 
 	inj := New(spec, seed)
-	inj.Arm(m)
-	runErr := m.RunContext(context.Background())
-	inj.Disarm(m)
+	inj.Arm(l.Machine)
+	runErr := l.RunContext(context.Background())
+	inj.Disarm(l.Machine)
 
 	rep := &RunReport{Workload: name, Spec: spec, Seed: seed, Injected: len(inj.Events)}
 	if runErr != nil {
@@ -251,5 +251,8 @@ func runOne(name string, cfg CampaignConfig, spec Spec, seed int64, ref *mem.Fun
 		return rep, nil
 	}
 	rep.Outcome = Masked
+	if rep.Injected == 0 {
+		rep.Outcome = NotInjected
+	}
 	return rep, nil
 }

@@ -4,8 +4,11 @@
 // bus-latency spikes. Injectors plug into the small fault interfaces of
 // mem.Func, mem.BIU and dcache.DCache; a campaign of seeded runs then
 // asserts that every injected fault is either detected (a trap or a
-// divergence against the sequential reference) or provably masked —
-// never a hang, never a panic.
+// divergence against the sequential reference), masked, or not
+// injected at all — never a hang, never a panic. The mutant matrix
+// (RunMatrixCampaign) does the same for the encoded program image:
+// seeded single-bit flips, classified by the decoder and the static
+// verifier, and differentially executed under several machine seeds.
 package faults
 
 import (

@@ -10,6 +10,8 @@ import (
 	"sync"
 
 	"tm3270/internal/campaign"
+	"tm3270/internal/config"
+	"tm3270/internal/workloads"
 )
 
 // KindMutant is the campaign unit kind of the mutant matrix: one
@@ -26,10 +28,18 @@ const (
 	StatusSilent   = "silent"
 )
 
-// MatrixConfig scales a mutant × machine-seed matrix campaign.
+// MatrixConfig scales a mutant × machine-seed matrix campaign. Zero
+// fields take the documented defaults.
 type MatrixConfig struct {
-	// Static supplies the workloads, mutant count, params and target.
-	Static StaticConfig
+	// Workloads are registry names (default: the fault campaign set).
+	Workloads []string
+	// Mutants is the number of seeded single-bit image flips per
+	// workload (default 64).
+	Mutants int
+	// Params sizes the workloads (default workloads.Small()).
+	Params *workloads.Params
+	// Target is the processor configuration (default config.TM3270()).
+	Target *config.Target
 	// MSeeds is the number of machine seeds per mutant, including the
 	// unperturbed baseline seed 0 (default 5: baseline + 4 perturbed).
 	MSeeds int
@@ -46,7 +56,20 @@ type MatrixConfig struct {
 }
 
 func (c *MatrixConfig) fill() {
-	c.Static.fill()
+	if len(c.Workloads) == 0 {
+		c.Workloads = defaultWorkloads()
+	}
+	if c.Mutants <= 0 {
+		c.Mutants = 64
+	}
+	if c.Params == nil {
+		p := workloads.Small()
+		c.Params = &p
+	}
+	if c.Target == nil {
+		t := config.TM3270()
+		c.Target = &t
+	}
 	if c.MSeeds <= 0 {
 		c.MSeeds = 5
 	}
@@ -59,7 +82,7 @@ func (c *MatrixConfig) fill() {
 // so they bind the store.
 func (c *MatrixConfig) Spec() string {
 	c.fill()
-	ph := sha256.Sum256([]byte(fmt.Sprintf("%+v|%+v", *c.Static.Params, *c.Static.Target)))
+	ph := sha256.Sum256([]byte(fmt.Sprintf("%+v|%+v", *c.Params, *c.Target)))
 	return fmt.Sprintf("mutmatrix params=%s", hex.EncodeToString(ph[:6]))
 }
 
@@ -69,11 +92,11 @@ func (c *MatrixConfig) Spec() string {
 func (c *MatrixConfig) UnitMatrix() []campaign.Unit {
 	c.fill()
 	var units []campaign.Unit
-	for _, name := range c.Static.Workloads {
-		for mut := int64(1); mut <= int64(c.Static.Mutants); mut++ {
+	for _, name := range c.Workloads {
+		for mut := int64(1); mut <= int64(c.Mutants); mut++ {
 			for ms := int64(0); ms < int64(c.MSeeds); ms++ {
 				units = append(units, campaign.Unit{
-					Kind: KindMutant, Name: name, Target: c.Static.Target.Name,
+					Kind: KindMutant, Name: name, Target: c.Target.Name,
 					Mutant: mut, MSeed: ms,
 				})
 			}
@@ -107,7 +130,7 @@ func (r *matrixRunner) target(name string) (*mutTarget, error) {
 	if mt, ok := r.targets[name]; ok {
 		return mt, nil
 	}
-	mt, err := newMutTarget(name, &r.cfg.Static)
+	mt, err := newMutTarget(name, r.cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +145,7 @@ func (r *matrixRunner) golden(mt *mutTarget, name string, mseed int64) (*golden,
 	if g, ok := r.goldens[key]; ok {
 		return g, nil
 	}
-	g, err := mt.goldenRun(r.cfg.Static.Target, mseed)
+	g, err := mt.goldenRun(r.cfg.Target, mseed)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +164,7 @@ func (r *matrixRunner) Run(ctx context.Context, u campaign.Unit) (campaign.Resul
 	}
 	img := make([]byte, len(mt.enc))
 	mt.mutate(u.Mutant, img)
-	o, dec := mt.classify(img, r.cfg.Static.Target)
+	o, dec := mt.classify(img, r.cfg.Target)
 	if o != StaticMissed {
 		return campaign.Result{Status: o.String()}, nil
 	}
@@ -149,7 +172,7 @@ func (r *matrixRunner) Run(ctx context.Context, u campaign.Unit) (campaign.Resul
 	if err != nil {
 		return campaign.Result{}, err
 	}
-	mut := mt.newRef(dec, r.cfg.Static.Target, u.MSeed)
+	mut := mt.newRef(dec, r.cfg.Target, u.MSeed)
 	mut.MaxInstrs = gold.budget()
 	detected := diffDetects(mut, gold)
 	res := campaign.Result{Status: StatusDetected, Instrs: mut.Issue()}
@@ -188,17 +211,27 @@ type MatrixResult struct {
 	Stats     campaign.Stats
 }
 
+// StaticRate is the fraction of decodable stream-changing mutants the
+// static verifier flags before execution: flagged / (flagged + missed).
+// Rejected and masked mutants never reach the verifier.
+func (r *MatrixResult) StaticRate() float64 {
+	return r.rate(0)
+}
+
 // CombinedRate is the fraction of decodable stream-changing mutants
 // caught by the static verifier or by the differential harness under
 // any machine seed: (flagged + combined) / (flagged + missed). The
-// denominator matches StaticResult.DetectionRate and
-// DiffResult.CombinedRate, so all three rates are comparable.
+// denominator matches StaticRate, so the two rates are comparable.
 func (r *MatrixResult) CombinedRate() float64 {
+	return r.rate(r.Combined)
+}
+
+func (r *MatrixResult) rate(detected int) float64 {
 	flagged, missed := r.Static[StaticFlagged], r.Static[StaticMissed]
 	if flagged+missed == 0 {
 		return 0
 	}
-	return float64(flagged+r.Combined) / float64(flagged+missed)
+	return float64(flagged+detected) / float64(flagged+missed)
 }
 
 // PrintSummary renders the matrix outcome: static totals, the
@@ -209,6 +242,7 @@ func (r *MatrixResult) PrintSummary(w io.Writer) {
 	fmt.Fprintf(w, "static (per mutant): %d rejected, %d masked, %d flagged, %d missed\n",
 		r.Static[StaticRejected], r.Static[StaticMasked],
 		r.Static[StaticFlagged], r.Static[StaticMissed])
+	fmt.Fprintf(w, "static detection %.1f%% of decodable stream-changing mutants\n", 100*r.StaticRate())
 	for _, s := range r.Seeds {
 		label := "baseline"
 		if s.MSeed != 0 {
@@ -230,20 +264,15 @@ func (r *MatrixResult) PrintSummary(w io.Writer) {
 }
 
 // RunMatrixCampaign executes the mutant × machine-seed matrix on the
-// campaign engine.
-func RunMatrixCampaign(cfg MatrixConfig) (*MatrixResult, error) {
-	return RunMatrixCampaignContext(context.Background(), cfg)
-}
-
-// RunMatrixCampaignContext is RunMatrixCampaign with cooperative
-// cancellation; a canceled campaign leaves any store resumable.
-func RunMatrixCampaignContext(ctx context.Context, cfg MatrixConfig) (*MatrixResult, error) {
+// campaign engine. Cancelling ctx stops dispatching units and leaves
+// any store resumable.
+func RunMatrixCampaign(ctx context.Context, cfg MatrixConfig) (*MatrixResult, error) {
 	cfg.fill()
 	units := cfg.UnitMatrix()
 	r := newMatrixRunner(&cfg)
 	out := &MatrixResult{
-		Workloads: len(cfg.Static.Workloads),
-		Mutants:   cfg.Static.Mutants,
+		Workloads: len(cfg.Workloads),
+		Mutants:   cfg.Mutants,
 		MSeeds:    cfg.MSeeds,
 	}
 	out.Seeds = make([]SeedRow, cfg.MSeeds)

@@ -11,52 +11,90 @@ import (
 	"tm3270/internal/mem"
 	"tm3270/internal/prefetch"
 	"tm3270/internal/refmodel"
-	"tm3270/internal/regalloc"
-	"tm3270/internal/sched"
+	"tm3270/internal/runner"
 	"tm3270/internal/tmsim"
 	"tm3270/internal/workloads"
 )
 
-// mutTarget is one workload prepared for image-mutation campaigns: the
+// StaticOutcome classifies one mutated binary image.
+type StaticOutcome int
+
+const (
+	// StaticRejected: the mutated image no longer decodes — the template
+	// chain or an opcode field broke, and the decoder itself is the gate.
+	StaticRejected StaticOutcome = iota
+	// StaticMasked: the image decodes to the identical instruction
+	// stream (the flip landed in dead padding bits), so there is nothing
+	// for any verifier to see.
+	StaticMasked
+	// StaticFlagged: the image decodes to a different stream and the
+	// static verifier reports at least one diagnostic — the corruption
+	// is caught before a single cycle executes.
+	StaticFlagged
+	// StaticMissed: the image decodes to a different stream that the
+	// verifier considers well-formed (e.g. one register operand swapped
+	// for another live one).
+	StaticMissed
+)
+
+// String names the outcome for campaign reports.
+func (o StaticOutcome) String() string {
+	switch o {
+	case StaticRejected:
+		return "rejected"
+	case StaticMasked:
+		return "masked"
+	case StaticFlagged:
+		return "flagged"
+	}
+	return "missed"
+}
+
+// golden is the reference-model outcome of the pristine binary. The
+// prefetch MMIO bank is architected state (software reads it back), so
+// it is part of the diffed outcome — mutants that misconfigure the
+// prefetcher are corruptions even though no load or store moves.
+type golden struct {
+	issue int64
+	regs  [isa.NumRegs]uint32
+	mem   *refmodel.Mem
+	mmio  [prefetch.NumRegions][3]uint32
+}
+
+// budget bounds a mutant run well past the golden instruction count;
+// hitting it is itself a detectable difference, since the golden run
+// terminates without tripping the watchdog.
+func (g *golden) budget() int64 {
+	return 4*g.issue + 10_000
+}
+
+// mutTarget is one workload prepared for the mutant matrix: the
 // encoded golden image, its decoded baseline stream, the binverify
-// semantic contract, and the initial memory image. The static, the
-// differential and the matrix campaigns all classify mutants against
-// the same prepared target, so their static classifications are
-// byte-identical by construction.
+// semantic contract, and the initial memory image. Every unit of one
+// workload classifies its mutant against the same prepared target.
 type mutTarget struct {
 	w        *workloads.Spec
-	rm       *regalloc.Map
 	enc      []byte // encoded golden image
 	n        int    // instruction count
 	baseline []encode.DecInstr
-	opts     *binverify.Options
+	opts     *binverify.Options // EntryValues doubles as the physical entry arguments
 	init     *mem.Func          // initial memory image (Init applied)
-	args     map[isa.Reg]uint32 // physical entry arguments
-	argSet   map[isa.Reg]bool   // registers carrying entry arguments
 }
 
 // newMutTarget compiles and verifies the workload's golden image. The
 // baseline must be verifier-clean so every diagnostic on a mutant is
 // attributable to the flip.
-func newMutTarget(name string, cfg *StaticConfig) (*mutTarget, error) {
+func newMutTarget(name string, cfg *MatrixConfig) (*mutTarget, error) {
 	w, err := workloads.ByName(name, *cfg.Params)
 	if err != nil {
 		return nil, err
 	}
-	code, err := sched.Schedule(w.Prog, *cfg.Target)
+	art, err := runner.CompileWorkload(w, *cfg.Target)
 	if err != nil {
 		return nil, err
 	}
-	rm, err := regalloc.Allocate(w.Prog)
-	if err != nil {
-		return nil, err
-	}
-	enc, err := encode.Encode(code, rm, tmsim.CodeBase)
-	if err != nil {
-		return nil, err
-	}
-	n := len(code.Instrs)
-	baseline, err := encode.Decode(enc.Bytes, tmsim.CodeBase, n)
+	n := art.SchedInstrs()
+	baseline, err := encode.Decode(art.Enc.Bytes, tmsim.CodeBase, n)
 	if err != nil {
 		return nil, fmt.Errorf("baseline decode: %w", err)
 	}
@@ -64,24 +102,7 @@ func newMutTarget(name string, cfg *StaticConfig) (*mutTarget, error) {
 	// loop-bound annotations — so mutants that corrupt an address
 	// computation or a loop exit land in the range and loop analyses,
 	// not only the structural ones.
-	opts := &binverify.Options{EntryValues: map[isa.Reg]uint32{}, MemMap: w.Regions}
-	args := make(map[isa.Reg]uint32, len(w.Args))
-	argSet := make(map[isa.Reg]bool, len(w.Args))
-	for v, val := range w.Args {
-		r := rm.Reg(v)
-		opts.EntryDefined = append(opts.EntryDefined, r)
-		opts.EntryValues[r] = val
-		args[r] = val
-		argSet[r] = true
-	}
-	if len(w.Prog.LoopBounds) > 0 {
-		opts.LoopBounds = map[uint32]int{}
-		for label, bound := range w.Prog.LoopBounds {
-			if idx, ok := code.Labels[label]; ok {
-				opts.LoopBounds[enc.Addr[idx]] = bound
-			}
-		}
-	}
+	opts := art.VerifyOptions(w)
 	if rep := binverify.Verify(baseline, cfg.Target, opts); !rep.Clean() {
 		return nil, fmt.Errorf("baseline image is not verifier-clean (%d diagnostics)", len(rep.Diags))
 	}
@@ -91,10 +112,7 @@ func newMutTarget(name string, cfg *StaticConfig) (*mutTarget, error) {
 			return nil, fmt.Errorf("init: %w", err)
 		}
 	}
-	return &mutTarget{
-		w: w, rm: rm, enc: enc.Bytes, n: n, baseline: baseline,
-		opts: opts, init: init, args: args, argSet: argSet,
-	}, nil
+	return &mutTarget{w: w, enc: art.Enc.Bytes, n: n, baseline: baseline, opts: opts, init: init}, nil
 }
 
 // mutate writes the seeded single-bit mutant of the golden image into
@@ -136,12 +154,12 @@ func (t *mutTarget) newRef(dec []encode.DecInstr, target *config.Target, mseed i
 	if mseed != 0 {
 		rng := rand.New(rand.NewSource(mseed ^ 0x5DEECE66D))
 		for r := isa.Reg(2); int(r) < isa.NumRegs; r++ {
-			if !t.argSet[r] {
+			if _, arg := t.opts.EntryValues[r]; !arg {
 				ref.SetReg(r, rng.Uint32())
 			}
 		}
 	}
-	for r, val := range t.args {
+	for r, val := range t.opts.EntryValues {
 		ref.SetReg(r, val)
 	}
 	return ref
@@ -172,4 +190,64 @@ func (t *mutTarget) classify(img []byte, target *config.Target) (StaticOutcome, 
 		return StaticFlagged, nil
 	}
 	return StaticMissed, dec
+}
+
+// streamsEqual compares two decoded streams slot by slot.
+func streamsEqual(a, b []encode.DecInstr) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Addr != b[i].Addr || a[i].Size != b[i].Size {
+			return false
+		}
+		for s := 0; s < 5; s++ {
+			x, y := a[i].Slots[s], b[i].Slots[s]
+			switch {
+			case (x == nil) != (y == nil):
+				return false
+			case x != nil && *x != *y:
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// diffDetects runs the mutant and reports whether its outcome differs
+// from the golden run in any architecturally visible way.
+func diffDetects(mut *refmodel.Machine, gold *golden) bool {
+	if t := mut.Run(); t != nil {
+		return true // golden run is trap-free
+	}
+	if mut.Issue() != gold.issue {
+		return true
+	}
+	if mut.Regs() != gold.regs {
+		return true
+	}
+	if mut.MMIORegs() != gold.mmio {
+		return true
+	}
+	return !memEqual(mut.Mem, gold.mem)
+}
+
+// memEqual compares two reference-model images over the union of their
+// touched pages.
+func memEqual(a, b *refmodel.Mem) bool {
+	pages := map[uint32]bool{}
+	for _, pa := range a.PageAddrs() {
+		pages[pa] = true
+	}
+	for _, pa := range b.PageAddrs() {
+		pages[pa] = true
+	}
+	for pa := range pages {
+		for i := uint32(0); i < 1<<12; i++ {
+			if a.ByteAt(pa+i) != b.ByteAt(pa+i) {
+				return false
+			}
+		}
+	}
+	return true
 }
