@@ -109,6 +109,7 @@ serve-smoke:
 # campaign-smoke: the campaign engine's durability contract, end to
 # end — a sharded cosim campaign with one shard SIGKILLed mid-run must
 # resume from its store and the merged aggregate must be byte-identical
-# to an unsharded run of the same matrix.
+# to an unsharded run of the same matrix; a small sharded-and-merged
+# mutant matrix must match its unsharded run the same way.
 campaign-smoke:
 	GO=$(GO) sh scripts/campaign_smoke.sh

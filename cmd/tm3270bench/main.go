@@ -34,6 +34,7 @@ import (
 	"runtime"
 	"time"
 
+	"tm3270/internal/campaign"
 	"tm3270/internal/cosim"
 	"tm3270/internal/experiments"
 	"tm3270/internal/faults"
@@ -145,7 +146,7 @@ func main() {
 		run("faults", func() error {
 			// Small workload sizes keep the campaign dense: 4 workloads
 			// x 4 injectors x 13 seeds = 208 classified runs.
-			res, err := faults.RunCampaign(faults.CampaignConfig{}, os.Stdout)
+			res, err := faults.RunCampaign(context.Background(), faults.CampaignConfig{}, os.Stdout)
 			if err != nil {
 				return err
 			}
@@ -158,7 +159,7 @@ func main() {
 			// Machine seed 0 alone is the single-initial-state
 			// differential campaign.
 			fmt.Println()
-			mres, err := faults.RunMatrixCampaign(context.Background(), faults.MatrixConfig{})
+			mres, err := faults.RunMatrixCampaign(context.Background(), faults.MatrixConfig{}, campaign.Config{})
 			if err != nil {
 				return err
 			}
@@ -170,7 +171,7 @@ func main() {
 		run("cosim", func() error {
 			// The pipeline model runs the campaign against the
 			// architectural reference model and must diverge zero times.
-			camp, err := cosim.RunCampaign(context.Background(), cosim.CampaignConfig{Params: &p})
+			camp, err := cosim.RunCampaign(context.Background(), cosim.CampaignConfig{Params: &p}, campaign.Config{})
 			if err != nil {
 				return err
 			}

@@ -4,7 +4,10 @@
 // machine-seed matrix. Campaigns are deterministic work-unit matrices;
 // with -store every completed unit is persisted, so a killed campaign
 // resumes exactly where it stopped and a finished one re-reads from
-// the store without executing anything.
+// the store without executing anything. Both kinds share one engine
+// configuration (-workers, -store, -shards, -progress), built once and
+// handed to the kind's driver; the store is opened once, under the
+// chosen kind's fingerprint.
 //
 // Sharding: -shards i/n restricts this process to every n'th unit and
 // writes records under a shard-specific file name, so n processes
@@ -108,57 +111,48 @@ func run(kind, storeDir string, resume bool, shards string, seeds, ops int,
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var agg *campaign.Aggregate
-	var stats campaign.Stats
-	var bad int
+	// The kind picks its matrix and store fingerprint; the engine
+	// settings are the same for both.
+	eng := campaign.Config{Workers: workers, Shard: sh, Progress: progressFn(progress)}
+	var spec string
+	var execute func() (agg *campaign.Aggregate, stats campaign.Stats, bad int, err error)
 	switch kind {
 	case "cosim":
-		cfg := cosim.CampaignConfig{
-			Seeds:         seeds,
-			GenOps:        ops,
-			LockstepEvery: lockstep,
-			Workers:       workers,
-			Shard:         sh,
-			Progress:      progressFn(progress),
+		cfg := cosim.CampaignConfig{Seeds: seeds, GenOps: ops, LockstepEvery: lockstep}
+		spec = cfg.Spec()
+		execute = func() (*campaign.Aggregate, campaign.Stats, int, error) {
+			camp, err := cosim.RunCampaign(ctx, cfg, eng)
+			if err != nil {
+				return nil, campaign.Stats{}, 0, err
+			}
+			camp.PrintSummary(os.Stdout)
+			return camp.Aggregate, camp.Stats, len(camp.Divergent), nil
 		}
-		st, err := openStore(storeDir, sh, cfg.Spec(), resume)
-		if err != nil {
-			return err
-		}
-		if st != nil {
-			defer st.Close()
-			cfg.Store = st
-		}
-		camp, err := cosim.RunCampaign(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		camp.PrintSummary(os.Stdout)
-		agg, stats, bad = camp.Aggregate, camp.Stats, len(camp.Divergent)
 	case "mutants":
-		cfg := faults.MatrixConfig{
-			Mutants:  mutants,
-			MSeeds:   mseeds,
-			Workers:  workers,
-			Shard:    sh,
-			Progress: progressFn(progress),
+		cfg := faults.MatrixConfig{Mutants: mutants, MSeeds: mseeds}
+		spec = cfg.Spec()
+		execute = func() (*campaign.Aggregate, campaign.Stats, int, error) {
+			res, err := faults.RunMatrixCampaign(ctx, cfg, eng)
+			if err != nil {
+				return nil, campaign.Stats{}, 0, err
+			}
+			res.PrintSummary(os.Stdout)
+			return res.Aggregate, res.Stats, len(res.Silent), nil
 		}
-		st, err := openStore(storeDir, sh, cfg.Spec(), resume)
-		if err != nil {
-			return err
-		}
-		if st != nil {
-			defer st.Close()
-			cfg.Store = st
-		}
-		res, err := faults.RunMatrixCampaign(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		res.PrintSummary(os.Stdout)
-		agg, stats, bad = res.Aggregate, res.Stats, len(res.Silent)
 	default:
 		return fmt.Errorf("unknown -kind %q (want cosim or mutants)", kind)
+	}
+	st, err := openStore(storeDir, sh, spec, resume)
+	if err != nil {
+		return err
+	}
+	if st != nil {
+		defer st.Close()
+		eng.Store = st
+	}
+	agg, stats, bad, err := execute()
+	if err != nil {
+		return err
 	}
 
 	fmt.Printf("shard %s: %d units, %d executed, %d cached\n",

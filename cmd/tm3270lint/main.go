@@ -106,17 +106,8 @@ func main() {
 	exec := flag.Bool("exec", false, "also execute each verified workload and check its outputs (dynamic gate)")
 	flag.Parse()
 
-	var tgt config.Target
-	switch strings.ToUpper(*cfg) {
-	case "A", "TM3260":
-		tgt = config.ConfigA()
-	case "B":
-		tgt = config.ConfigB()
-	case "C":
-		tgt = config.ConfigC()
-	case "D", "TM3270":
-		tgt = config.ConfigD()
-	default:
+	tgt, err := config.ByName(*cfg)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "unknown config %q\n", *cfg)
 		os.Exit(2)
 	}

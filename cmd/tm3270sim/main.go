@@ -3,11 +3,11 @@
 // CPI, stall breakdown, cache and bus statistics, code size, estimated
 // wall-clock time and the power-model evaluation.
 //
-// A trap (unmapped access, MMIO misuse, watchdog, deadline, internal
-// fault) prints a structured diagnostic — PC, cycle, register dump and
-// the flight-recorder tail — instead of a Go panic trace. The -inject
-// flag arms a seeded fault injector (see internal/faults) against the
-// run.
+// A trap (unmapped access, MMIO misuse, watchdog, -deadline expiry,
+// internal fault) prints a structured diagnostic — PC, cycle, register
+// dump and the flight-recorder tail — instead of a Go panic trace. The
+// -inject flag arms a seeded fault injector (see internal/faults)
+// against the run.
 //
 // Observability: -stats-json dumps the unified counter registry as one
 // JSON object of dotted names; -trace-json writes a Chrome trace-event
@@ -23,9 +23,11 @@
 // error-severity diagnostic refuses the run.
 //
 // The execution knobs all route through the runner's per-run options
-// (WithWatchdog, WithDeadline, WithStrictMem, WithVerify,
-// WithTelemetry) — the same API the batch runner and the public
-// tm3270.RunContext use.
+// (WithWatchdog, WithStrictMem, WithVerify, WithTelemetry) — the same
+// API the batch runner and the public tm3270.RunContext use. -deadline
+// is not one of them: it is a context.WithTimeout around the run, whose
+// expiry traps as "canceled" (the run's context is its only wall-clock
+// bound).
 //
 // Usage:
 //
@@ -69,7 +71,7 @@ func main() {
 	traceN := flag.Int64("trace", 0, "print an issue trace of the first N instructions")
 	inject := flag.String("inject", "", "fault injector spec kind[:rate[:delay]] (kinds: "+kindList()+")")
 	seed := flag.Int64("seed", 1, "fault injector seed")
-	deadline := flag.Duration("deadline", 0, "wall-clock execution deadline (0 = none)")
+	deadline := flag.Duration("deadline", 0, "wall-clock timeout of the run's context; expiry traps as canceled (0 = none)")
 	strict := flag.Bool("strict", false, "trap on unmapped loads and null-page stores")
 	watchdog := flag.Int64("watchdog", 0, "instruction-count watchdog (0 = default)")
 	verify := flag.Bool("verify", false, "statically verify the decoded binary before running (exit on errors)")
@@ -88,17 +90,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	var tgt config.Target
-	switch strings.ToUpper(*cfg) {
-	case "A", "TM3260":
-		tgt = config.ConfigA()
-	case "B":
-		tgt = config.ConfigB()
-	case "C":
-		tgt = config.ConfigC()
-	case "D", "TM3270":
-		tgt = config.ConfigD()
-	default:
+	tgt, err := config.ByName(*cfg)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "unknown config %q\n", *cfg)
 		os.Exit(2)
 	}
@@ -168,10 +161,15 @@ func main() {
 		sink.Trace = telemetry.NewTrace(0)
 	}
 
-	res, runErr := runner.RunContext(context.Background(), w, tgt,
+	ctx := context.Background()
+	if *deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *deadline)
+		defer cancel()
+	}
+	res, runErr := runner.RunContext(ctx, w, tgt,
 		runner.WithArtifact(art),
 		runner.WithWatchdog(*watchdog),
-		runner.WithDeadline(*deadline),
 		runner.WithStrictMem(*strict),
 		runner.WithTelemetry(sink),
 		runner.WithMachineSetup(func(m *tmsim.Machine) {

@@ -60,16 +60,16 @@ func main() {
 		})
 
 	// Compile once per target (the Artifact is the complete, reusable
-	// build product) and run with per-run options: a wall-clock deadline
-	// and the compiled artifact itself.
+	// build product) and run it as a per-run option. The run's context
+	// is its wall-clock bound.
 	for _, tgt := range []tm3270.Target{tm3270.TM3260(), tm3270.TM3270()} {
 		art, err := tm3270.Compile(p, tgt)
 		if err != nil {
 			log.Fatal(err)
 		}
-		r, err := tm3270.RunContext(context.Background(), w, tgt,
-			tm3270.WithArtifact(art),
-			tm3270.WithDeadline(10*time.Second))
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		r, err := tm3270.RunContext(ctx, w, tgt, tm3270.WithArtifact(art))
+		cancel()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -30,8 +30,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-
-	"tm3270/internal/telemetry"
 )
 
 // hashSalt versions the content-address scheme: changing the Unit
@@ -143,25 +141,4 @@ func (a *Aggregate) MarshalJSONDeterministic() ([]byte, error) {
 		return nil, err
 	}
 	return append(b, '\n'), nil
-}
-
-// Counters are the engine's campaign.* telemetry counters. A caller
-// registers one instance once and may share it across campaign runs;
-// the engine adds to it atomically.
-type Counters struct {
-	Total    int64 // units covered by this process's shard selection
-	Executed int64 // units actually run (store misses)
-	Cached   int64 // units satisfied from the store
-	Bad      int64 // results with Bad set
-	Corrupt  int64 // store records dropped at open (checksum/torn)
-}
-
-// Register wires the counters into a telemetry registry under the
-// campaign.* names.
-func (c *Counters) Register(r *telemetry.Registry) {
-	r.Counter("campaign.units.total", &c.Total)
-	r.Counter("campaign.units.executed", &c.Executed)
-	r.Counter("campaign.units.cached", &c.Cached)
-	r.Counter("campaign.units.bad", &c.Bad)
-	r.Counter("campaign.store.corrupt", &c.Corrupt)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"tm3270/internal/runner"
 )
@@ -60,14 +59,14 @@ type Config struct {
 	Store *Store
 	// Shard selects this process's slice of the matrix (zero = all).
 	Shard Shard
-	// Counters receives campaign.* telemetry (optional).
-	Counters *Counters
 	// Progress, when non-nil, is called under the engine lock after
 	// each unit completes (cached or executed) with running totals.
 	Progress func(done, total, cached int)
 	// Reduce, when non-nil, is called once per covered unit in
 	// unit-matrix order after the run completes — the deterministic
-	// reduction hook campaign owners build their reports from.
+	// reduction hook campaign owners build their reports from. Campaign
+	// drivers (cosim.RunCampaign, faults.RunMatrixCampaign) own it: they
+	// set it on their copy of the Config the caller hands them.
 	Reduce func(i int, u Unit, r Result)
 }
 
@@ -109,9 +108,6 @@ func Run(ctx context.Context, cfg Config, units []Unit, fn func(context.Context,
 	spec := ""
 	if cfg.Store != nil {
 		spec = cfg.Store.spec
-		if cfg.Counters != nil {
-			atomic.AddInt64(&cfg.Counters.Corrupt, int64(cfg.Store.Corrupt()))
-		}
 	}
 
 	results := make([]Result, len(units))
@@ -132,10 +128,6 @@ func Run(ctx context.Context, cfg Config, units []Unit, fn func(context.Context,
 			}
 		}
 		pending = append(pending, i)
-	}
-	if cfg.Counters != nil {
-		atomic.AddInt64(&cfg.Counters.Total, int64(stats.Total))
-		atomic.AddInt64(&cfg.Counters.Cached, int64(stats.Cached))
 	}
 
 	runCtx, cancel := context.WithCancel(ctx)
@@ -175,9 +167,6 @@ func Run(ctx context.Context, cfg Config, units []Unit, fn func(context.Context,
 			results[i] = r
 			done++
 			stats.Executed++
-			if cfg.Counters != nil {
-				atomic.AddInt64(&cfg.Counters.Executed, 1)
-			}
 			if cfg.Progress != nil {
 				cfg.Progress(done, stats.Total, stats.Cached)
 			}
@@ -217,9 +206,6 @@ func Run(ctx context.Context, cfg Config, units []Unit, fn func(context.Context,
 		if cfg.Reduce != nil {
 			cfg.Reduce(i, units[i], r)
 		}
-	}
-	if cfg.Counters != nil {
-		atomic.AddInt64(&cfg.Counters.Bad, int64(stats.Bad))
 	}
 	if cfg.Store != nil {
 		if err := cfg.Store.WriteManifest(Manifest{

@@ -80,17 +80,19 @@ func TestEngineResume(t *testing.T) {
 	dir := t.TempDir()
 
 	st := openStore(t, dir, "1of1", "s")
-	var c campaign.Counters
-	out1, err := campaign.Run(context.Background(), campaign.Config{Store: st, Counters: &c}, units, runFn)
+	out1, err := campaign.Run(context.Background(), campaign.Config{Store: st}, units, runFn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
-	if out1.Stats.Executed != len(units) || out1.Stats.Cached != 0 {
-		t.Fatalf("fresh run stats %+v", out1.Stats)
+	bad := 0
+	for _, u := range units {
+		if r, _ := runFn(context.Background(), u); r.Bad {
+			bad++
+		}
 	}
-	if got := atomic.LoadInt64(&c.Executed); got != int64(len(units)) {
-		t.Errorf("counter executed %d, want %d", got, len(units))
+	if want := (campaign.Stats{Total: len(units), Executed: len(units), Bad: bad}); out1.Stats != want {
+		t.Fatalf("fresh run stats %+v, want %+v", out1.Stats, want)
 	}
 
 	re := openStore(t, dir, "1of1", "s")
@@ -103,8 +105,8 @@ func TestEngineResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if executed != 0 || out2.Stats.Cached != len(units) {
-		t.Fatalf("resume executed %d units, stats %+v", executed, out2.Stats)
+	if want := (campaign.Stats{Total: len(units), Cached: len(units), Bad: bad}); executed != 0 || out2.Stats != want {
+		t.Fatalf("resume executed %d units, stats %+v, want %+v", executed, out2.Stats, want)
 	}
 	a, b := marshalAgg(t, out1.Aggregate), marshalAgg(t, out2.Aggregate)
 	if !bytes.Equal(a, b) {

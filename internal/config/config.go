@@ -7,6 +7,7 @@ package config
 
 import (
 	"fmt"
+	"strings"
 
 	"tm3270/internal/isa"
 )
@@ -195,6 +196,23 @@ func ConfigD() Target {
 	t := TM3270()
 	t.Name = "D (TM3270)"
 	return t
+}
+
+// ByName maps a target name onto the paper's processor configurations,
+// ignoring case: A-D are the Figure 7 evaluation points, and TM3260
+// and TM3270 name configurations A and D.
+func ByName(name string) (Target, error) {
+	switch strings.ToUpper(name) {
+	case "A", "TM3260":
+		return ConfigA(), nil
+	case "B":
+		return ConfigB(), nil
+	case "C":
+		return ConfigC(), nil
+	case "D", "TM3270":
+		return ConfigD(), nil
+	}
+	return Target{}, fmt.Errorf("unknown target %q (want A-D, TM3260 or TM3270)", name)
 }
 
 // Validate sanity-checks the configuration.

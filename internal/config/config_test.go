@@ -1,6 +1,7 @@
 package config_test
 
 import (
+	"fmt"
 	"testing"
 
 	"tm3270/internal/config"
@@ -132,5 +133,44 @@ func TestMemoryTimingMonotonicity(t *testing.T) {
 	b := config.ConfigB() // 240 MHz
 	if d.CyclesPerLine(128) <= b.CyclesPerLine(128) {
 		t.Error("350 MHz core must see more cycles per transfer than 240 MHz")
+	}
+}
+
+// TestByName pins the accepted target names: A-D and the two processor
+// names, in any case; anything else is an error naming the input.
+func TestByName(t *testing.T) {
+	cases := []struct {
+		in   string
+		want string // Target.Name; "" = rejected
+	}{
+		{"A", config.ConfigA().Name},
+		{"a", config.ConfigA().Name},
+		{"TM3260", config.ConfigA().Name},
+		{"tm3260", config.ConfigA().Name},
+		{"B", config.ConfigB().Name},
+		{"b", config.ConfigB().Name},
+		{"C", config.ConfigC().Name},
+		{"c", config.ConfigC().Name},
+		{"D", config.ConfigD().Name},
+		{"d", config.ConfigD().Name},
+		{"TM3270", config.ConfigD().Name},
+		{"Tm3270", config.ConfigD().Name},
+		{"", ""},
+		{"E", ""},
+		{"tm3270x", ""},
+		{" D", ""},
+	}
+	for _, c := range cases {
+		got, err := config.ByName(c.in)
+		if c.want == "" {
+			want := fmt.Sprintf("unknown target %q (want A-D, TM3260 or TM3270)", c.in)
+			if err == nil || err.Error() != want {
+				t.Errorf("ByName(%q) = %q, %v; want error %q", c.in, got.Name, err, want)
+			}
+			continue
+		}
+		if err != nil || got.Name != c.want {
+			t.Errorf("ByName(%q) = %q, %v; want %q", c.in, got.Name, err, c.want)
+		}
 	}
 }

@@ -46,16 +46,6 @@ type CampaignConfig struct {
 	// (see Options.Lockstep). 0 selects the default of every 16th
 	// unit; negative disables sampling.
 	LockstepEvery int
-	// Workers bounds the worker pool (<=0 = GOMAXPROCS).
-	Workers int
-	// Store persists unit results for resume and sharding (optional).
-	Store *campaign.Store
-	// Shard selects this process's slice of the matrix (zero = all).
-	Shard campaign.Shard
-	// Counters receives campaign.* telemetry (optional).
-	Counters *campaign.Counters
-	// Progress is forwarded to the engine (optional).
-	Progress func(done, total, cached int)
 }
 
 func (c *CampaignConfig) fill() {
@@ -210,40 +200,35 @@ type Campaign struct {
 	Stats     campaign.Stats
 }
 
-// RunCampaign executes the sweep on the campaign engine. Divergences
-// are collected, not returned as errors; harness failures (compile
-// errors, init failures) abort immediately. Cancelling ctx stops
-// dispatching units and returns the context's error, leaving any
+// RunCampaign executes the sweep on the campaign engine configured by
+// eng (workers, store, shard, progress); the driver sets eng.Reduce.
+// Divergences are collected, not returned as errors; harness failures
+// (compile errors, init failures) abort immediately. Cancelling ctx
+// stops dispatching units and returns the context's error, leaving any
 // store resumable.
-func RunCampaign(ctx context.Context, cfg CampaignConfig) (*Campaign, error) {
+func RunCampaign(ctx context.Context, cfg CampaignConfig, eng campaign.Config) (*Campaign, error) {
 	cfg.fill()
 	units := cfg.UnitMatrix()
 	r := newUnitRunner(&cfg)
 	out := &Campaign{}
-	o, err := campaign.Run(ctx, campaign.Config{
-		Workers:  cfg.Workers,
-		Store:    cfg.Store,
-		Shard:    cfg.Shard,
-		Counters: cfg.Counters,
-		Progress: cfg.Progress,
-		Reduce: func(i int, u campaign.Unit, res campaign.Result) {
-			switch {
-			case res.Status == StatusSkipped:
-				out.Skipped++
-			case u.Kind == KindWorkload:
-				out.Workloads++
-			default:
-				out.Generated++
-			}
-			if u.Lockstep {
-				out.Lockstep++
-			}
-			out.Instrs += res.Instrs
-			if res.Bad {
-				out.Divergent = append(out.Divergent, fromStored(u, res))
-			}
-		},
-	}, units, r.Run)
+	eng.Reduce = func(i int, u campaign.Unit, res campaign.Result) {
+		switch {
+		case res.Status == StatusSkipped:
+			out.Skipped++
+		case u.Kind == KindWorkload:
+			out.Workloads++
+		default:
+			out.Generated++
+		}
+		if u.Lockstep {
+			out.Lockstep++
+		}
+		out.Instrs += res.Instrs
+		if res.Bad {
+			out.Divergent = append(out.Divergent, fromStored(u, res))
+		}
+	}
+	o, err := campaign.Run(ctx, eng, units, r.Run)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"tm3270/internal/campaign"
 	"tm3270/internal/config"
 	"tm3270/internal/isa"
 	"tm3270/internal/mem"
@@ -30,7 +31,7 @@ func TestConformanceCampaign(t *testing.T) {
 	if testing.Short() {
 		cfg.Seeds = 50
 	}
-	c, err := RunCampaign(context.Background(), cfg)
+	c, err := RunCampaign(context.Background(), cfg, campaign.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,13 +2,18 @@
 // machine model: single-bit corruption of the memory image and of
 // cache-line fills, dropped and delayed region prefetches, and
 // bus-latency spikes. Injectors plug into the small fault interfaces of
-// mem.Func, mem.BIU and dcache.DCache; a campaign of seeded runs then
-// asserts that every injected fault is either detected (a trap or a
-// divergence against the sequential reference), masked, or not
-// injected at all — never a hang, never a panic. The mutant matrix
-// (RunMatrixCampaign) does the same for the encoded program image:
-// seeded single-bit flips, classified by the decoder and the static
-// verifier, and differentially executed under several machine seeds.
+// mem.Func, mem.BIU and dcache.DCache; a campaign of seeded runs
+// (RunCampaign) then asserts that every injected fault is either
+// detected (a trap or a divergence against the sequential reference),
+// masked, or not injected at all — never a hang, never a panic. Its
+// runs are bounded by the instruction watchdog alone, with no
+// wall-clock limit, so each outcome depends only on (workload, spec,
+// seed); the caller's context only cancels the campaign. The mutant
+// matrix (RunMatrixCampaign) does the same for the encoded program
+// image: seeded single-bit flips, classified by the decoder and the
+// static verifier, and differentially executed under several machine
+// seeds on the campaign engine, configured by the caller's
+// campaign.Config.
 package faults
 
 import (

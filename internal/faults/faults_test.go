@@ -1,9 +1,9 @@
 package faults_test
 
 import (
+	"context"
 	"strings"
 	"testing"
-	"time"
 
 	"tm3270/internal/faults"
 	"tm3270/internal/workloads"
@@ -49,7 +49,7 @@ func TestParseSpec(t *testing.T) {
 // ParseSpec (as tm3270sim -inject takes it) to the same injector.
 func TestSpecRoundTrip(t *testing.T) {
 	p := workloads.Small()
-	res, err := faults.RunCampaign(faults.CampaignConfig{
+	res, err := faults.RunCampaign(context.Background(), faults.CampaignConfig{
 		Workloads: []string{"memset"}, Seeds: 1, Params: &p}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -90,12 +90,11 @@ func TestCampaignSmall(t *testing.T) {
 			{Kind: faults.BitFlip},
 			{Kind: faults.DropPrefetch, Rate: 0.5},
 		},
-		Seeds:    4,
-		Params:   &p,
-		Deadline: time.Minute,
+		Seeds:  4,
+		Params: &p,
 	}
 	var sb strings.Builder
-	res, err := faults.RunCampaign(cfg, &sb)
+	res, err := faults.RunCampaign(context.Background(), cfg, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +142,11 @@ func TestCampaignDeterminism(t *testing.T) {
 		Seeds:     3,
 		Params:    &p,
 	}
-	a, err := faults.RunCampaign(cfg, nil)
+	a, err := faults.RunCampaign(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := faults.RunCampaign(cfg, nil)
+	b, err := faults.RunCampaign(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,6 +160,19 @@ func TestCampaignDeterminism(t *testing.T) {
 	}
 }
 
+// TestCampaignCanceled: a canceled context stops the campaign and
+// returns ctx.Err() itself, not a classified trap.
+func TestCampaignCanceled(t *testing.T) {
+	p := workloads.Small()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := faults.RunCampaign(ctx, faults.CampaignConfig{
+		Workloads: []string{"memcpy"}, Seeds: 2, Params: &p}, nil)
+	if err != ctx.Err() {
+		t.Fatalf("canceled campaign returned (%v, %v), want ctx.Err() = %v", res, err, ctx.Err())
+	}
+}
+
 // TestBusDelayIsTimingOnly: bus-latency spikes slow the run down but
 // must never change functional state.
 func TestBusDelayIsTimingOnly(t *testing.T) {
@@ -171,7 +183,7 @@ func TestBusDelayIsTimingOnly(t *testing.T) {
 		Seeds:     3,
 		Params:    &p,
 	}
-	res, err := faults.RunCampaign(cfg, nil)
+	res, err := faults.RunCampaign(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,16 +43,6 @@ type MatrixConfig struct {
 	// MSeeds is the number of machine seeds per mutant, including the
 	// unperturbed baseline seed 0 (default 5: baseline + 4 perturbed).
 	MSeeds int
-	// Workers bounds the worker pool (<=0 = GOMAXPROCS).
-	Workers int
-	// Store persists unit results for resume and sharding (optional).
-	Store *campaign.Store
-	// Shard selects this process's slice of the matrix (zero = all).
-	Shard campaign.Shard
-	// Counters receives campaign.* telemetry (optional).
-	Counters *campaign.Counters
-	// Progress is forwarded to the engine (optional).
-	Progress func(done, total, cached int)
 }
 
 func (c *MatrixConfig) fill() {
@@ -264,9 +254,10 @@ func (r *MatrixResult) PrintSummary(w io.Writer) {
 }
 
 // RunMatrixCampaign executes the mutant × machine-seed matrix on the
-// campaign engine. Cancelling ctx stops dispatching units and leaves
-// any store resumable.
-func RunMatrixCampaign(ctx context.Context, cfg MatrixConfig) (*MatrixResult, error) {
+// campaign engine configured by eng (workers, store, shard, progress);
+// the driver sets eng.Reduce. Cancelling ctx stops dispatching units
+// and leaves any store resumable.
+func RunMatrixCampaign(ctx context.Context, cfg MatrixConfig, eng campaign.Config) (*MatrixResult, error) {
 	cfg.fill()
 	units := cfg.UnitMatrix()
 	r := newMatrixRunner(&cfg)
@@ -296,43 +287,37 @@ func RunMatrixCampaign(ctx context.Context, cfg MatrixConfig) (*MatrixResult, er
 			out.Silent = append(out.Silent, curKey)
 		}
 	}
-	o, err := campaign.Run(ctx, campaign.Config{
-		Workers:  cfg.Workers,
-		Store:    cfg.Store,
-		Shard:    cfg.Shard,
-		Counters: cfg.Counters,
-		Progress: cfg.Progress,
-		Reduce: func(i int, u campaign.Unit, res campaign.Result) {
-			key := fmt.Sprintf("%s#%d", u.Name, u.Mutant)
-			if key != curKey {
-				flush()
-				curKey, curMissed, curDetected = key, false, false
-			}
-			switch res.Status {
-			case StatusDetected:
-				curMissed = true
-				curDetected = true
-				seeds[u.MSeed].Detected++
-			case StatusSilent:
-				curMissed = true
-				seeds[u.MSeed].Silent++
-			default:
-				// Static classification is machine-seed independent;
-				// count each mutant once, at its baseline unit.
-				if u.MSeed == 0 {
-					for o := StaticRejected; o <= StaticMissed; o++ {
-						if res.Status == o.String() {
-							out.Static[o]++
-						}
+	eng.Reduce = func(i int, u campaign.Unit, res campaign.Result) {
+		key := fmt.Sprintf("%s#%d", u.Name, u.Mutant)
+		if key != curKey {
+			flush()
+			curKey, curMissed, curDetected = key, false, false
+		}
+		switch res.Status {
+		case StatusDetected:
+			curMissed = true
+			curDetected = true
+			seeds[u.MSeed].Detected++
+		case StatusSilent:
+			curMissed = true
+			seeds[u.MSeed].Silent++
+		default:
+			// Static classification is machine-seed independent;
+			// count each mutant once, at its baseline unit.
+			if u.MSeed == 0 {
+				for o := StaticRejected; o <= StaticMissed; o++ {
+					if res.Status == o.String() {
+						out.Static[o]++
 					}
 				}
-				return
 			}
-			if u.MSeed == 0 {
-				out.Static[StaticMissed]++
-			}
-		},
-	}, units, r.Run)
+			return
+		}
+		if u.MSeed == 0 {
+			out.Static[StaticMissed]++
+		}
+	}
+	o, err := campaign.Run(ctx, eng, units, r.Run)
 	if err != nil {
 		return nil, err
 	}

@@ -19,7 +19,7 @@ import (
 // combined multi-seed rate is at least the baseline seed's rate.
 // TestMutantGolden pins the classification itself.
 func TestMatrixCampaign(t *testing.T) {
-	res, err := faults.RunMatrixCampaign(context.Background(), faults.MatrixConfig{})
+	res, err := faults.RunMatrixCampaign(context.Background(), faults.MatrixConfig{}, campaign.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestMatrixCampaign(t *testing.T) {
 // seed and diffing against the golden run strictly raises the
 // detection rate over the static verifier alone.
 func TestMatrixBaselineSeedBeatsStatic(t *testing.T) {
-	res, err := faults.RunMatrixCampaign(context.Background(), faults.MatrixConfig{MSeeds: 1})
+	res, err := faults.RunMatrixCampaign(context.Background(), faults.MatrixConfig{MSeeds: 1}, campaign.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestMatrixBaselineSeedBeatsStatic(t *testing.T) {
 // verifier flags a nonzero fraction of them before execution.
 func TestStaticCampaignFlagsMutants(t *testing.T) {
 	cfg := faults.MatrixConfig{Workloads: []string{"memcpy", "filter"}, Mutants: 48, MSeeds: 1}
-	res, err := faults.RunMatrixCampaign(context.Background(), cfg)
+	res, err := faults.RunMatrixCampaign(context.Background(), cfg, campaign.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +117,11 @@ func TestStaticCampaignFlagsMutants(t *testing.T) {
 // classification.
 func TestStaticCampaignIsDeterministic(t *testing.T) {
 	cfg := faults.MatrixConfig{Workloads: []string{"memset"}, Mutants: 32, MSeeds: 1}
-	a, err := faults.RunMatrixCampaign(context.Background(), cfg)
+	a, err := faults.RunMatrixCampaign(context.Background(), cfg, campaign.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := faults.RunMatrixCampaign(context.Background(), cfg)
+	b, err := faults.RunMatrixCampaign(context.Background(), cfg, campaign.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +134,11 @@ func TestStaticCampaignIsDeterministic(t *testing.T) {
 // per-seed detection and the same silent mutants.
 func TestDifferentialDeterminism(t *testing.T) {
 	cfg := faults.MatrixConfig{Workloads: []string{"memset"}, Mutants: 32, MSeeds: 2}
-	a, err := faults.RunMatrixCampaign(context.Background(), cfg)
+	a, err := faults.RunMatrixCampaign(context.Background(), cfg, campaign.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := faults.RunMatrixCampaign(context.Background(), cfg)
+	b, err := faults.RunMatrixCampaign(context.Background(), cfg, campaign.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,9 +162,7 @@ func TestMatrixResumeByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		c := cfg
-		c.Store = st
-		res, err := faults.RunMatrixCampaign(context.Background(), c)
+		res, err := faults.RunMatrixCampaign(context.Background(), cfg, campaign.Config{Store: st})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,9 +188,7 @@ func TestMatrixResumeByteIdentical(t *testing.T) {
 	}
 
 	inMemory := func(workers int) []byte {
-		c := cfg
-		c.Workers = workers
-		res, err := faults.RunMatrixCampaign(context.Background(), c)
+		res, err := faults.RunMatrixCampaign(context.Background(), cfg, campaign.Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

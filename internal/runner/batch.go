@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"time"
 
 	"tm3270/internal/config"
-	"tm3270/internal/telemetry"
 	"tm3270/internal/workloads"
 )
 
@@ -45,10 +43,6 @@ type Batch struct {
 	Cache *Cache
 	// Options apply to every run of the batch.
 	Options []Option
-	// QueueWait, when non-nil, observes each job's time between
-	// submission and a worker picking it up — the batch-side half of
-	// the service's queue-wait latency attribution.
-	QueueWait *telemetry.Histogram
 }
 
 // Matrix builds the full cross product of workload names and targets
@@ -92,10 +86,7 @@ func (b *Batch) Run(ctx context.Context, jobs []Job) []JobResult {
 	pool := NewPool(workers, 0)
 	for i := range jobs {
 		i := i
-		if err := pool.SubmitWait(ctx, func(wait time.Duration) {
-			if b.QueueWait != nil {
-				b.QueueWait.Observe(wait)
-			}
+		if err := pool.Submit(ctx, func() {
 			results[i] = b.runOne(ctx, cache, jobs[i])
 		}); err != nil {
 			results[i] = JobResult{Job: jobs[i],

@@ -3,7 +3,6 @@ package runner
 import (
 	"context"
 
-	"tm3270/internal/blockcache"
 	"tm3270/internal/mem"
 	"tm3270/internal/tmsim"
 )
@@ -46,7 +45,6 @@ func loadWith(a *Artifact, image *mem.Func, o *Options) *Loaded {
 	}
 	m := tmsim.Load(a.Code, a.RegMap, a.Enc, image)
 	m.MaxInstrs = o.Watchdog
-	m.Deadline = o.Deadline
 	m.StrictMem = o.StrictMem
 	if o.Telemetry != nil {
 		if o.Telemetry.Trace != nil {
@@ -66,9 +64,4 @@ func loadWith(a *Artifact, image *mem.Func, o *Options) *Loaded {
 // tmsim.Machine.RunContext for trap semantics.
 func (l *Loaded) RunContext(ctx context.Context) error {
 	return l.Machine.RunContext(ctx)
-}
-
-// BlockCacheStats returns the translation-cache counters of the run.
-func (l *Loaded) BlockCacheStats() blockcache.Stats {
-	return l.Machine.BlockCacheStats()
 }

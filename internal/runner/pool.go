@@ -59,29 +59,17 @@ func (p *Pool) Submit(ctx context.Context, f func()) error {
 
 // TrySubmit enqueues f without blocking and reports whether the pool
 // accepted it. False means the queue is saturated — the admission
-// signal the service turns into a 429.
-func (p *Pool) TrySubmit(f func()) bool {
+// signal the service turns into a 429. f receives the time the task
+// spent queued before a worker picked it up, the number the latency
+// histograms and request span trees record as the queue-wait stage.
+func (p *Pool) TrySubmit(f func(wait time.Duration)) bool {
+	enq := time.Now()
 	select {
-	case p.tasks <- f:
+	case p.tasks <- func() { f(time.Since(enq)) }:
 		return true
 	default:
 		return false
 	}
-}
-
-// SubmitWait is Submit with queue-wait attribution: f receives the
-// time the task spent queued before a worker picked it up, the number
-// the latency histograms and request span trees record as the
-// queue-wait stage.
-func (p *Pool) SubmitWait(ctx context.Context, f func(wait time.Duration)) error {
-	enq := time.Now()
-	return p.Submit(ctx, func() { f(time.Since(enq)) })
-}
-
-// TrySubmitWait is TrySubmit with the same queue-wait attribution.
-func (p *Pool) TrySubmitWait(f func(wait time.Duration)) bool {
-	enq := time.Now()
-	return p.TrySubmit(func() { f(time.Since(enq)) })
 }
 
 // Close stops accepting tasks and waits for the workers to finish the

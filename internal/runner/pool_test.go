@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"tm3270/internal/runner"
 )
@@ -12,27 +13,32 @@ import (
 // TestPoolTrySubmitSheds: with one worker parked on a task and the
 // queue full, TrySubmit must refuse further work — the admission
 // signal the service layer turns into a 429 — and accepted tasks must
-// still run to completion after the pool unblocks.
+// still run to completion after the pool unblocks, the queued one
+// reporting the time it waited behind the parked worker.
 func TestPoolTrySubmitSheds(t *testing.T) {
 	p := runner.NewPool(1, 1)
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var ran atomic.Int32
+	var queued time.Duration
 
-	if !p.TrySubmit(func() { close(started); <-release; ran.Add(1) }) {
+	if !p.TrySubmit(func(time.Duration) { close(started); <-release; ran.Add(1) }) {
 		t.Fatal("empty pool refused a task")
 	}
 	<-started // the only worker is now parked
-	if !p.TrySubmit(func() { ran.Add(1) }) {
+	if !p.TrySubmit(func(wait time.Duration) { queued = wait; ran.Add(1) }) {
 		t.Fatal("pool refused a task with queue space free")
 	}
-	if p.TrySubmit(func() { ran.Add(1) }) {
+	if p.TrySubmit(func(time.Duration) { ran.Add(1) }) {
 		t.Fatal("saturated pool accepted a task; admission bound is broken")
 	}
 	close(release)
 	p.Close()
 	if got := ran.Load(); got != 2 {
 		t.Errorf("ran %d accepted tasks, want 2", got)
+	}
+	if queued <= 0 {
+		t.Errorf("queued task reported wait %v, want > 0", queued)
 	}
 }
 

@@ -14,7 +14,6 @@ package runner
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"tm3270/internal/config"
 	"tm3270/internal/mem"
@@ -55,8 +54,6 @@ type Telemetry struct {
 type Options struct {
 	// Watchdog bounds issued instructions (0 = simulator default).
 	Watchdog int64
-	// Deadline bounds wall-clock execution time (0 = none).
-	Deadline time.Duration
 	// StrictMem traps unmapped loads and null-page stores.
 	StrictMem bool
 	// Verify gates execution on the whole-program static verifier.
@@ -79,9 +76,6 @@ type Option func(*Options)
 
 // WithWatchdog bounds the run to n issued instructions.
 func WithWatchdog(n int64) Option { return func(o *Options) { o.Watchdog = n } }
-
-// WithDeadline bounds the run to a wall-clock budget.
-func WithDeadline(d time.Duration) Option { return func(o *Options) { o.Deadline = d } }
 
 // WithStrictMem traps unmapped loads and null-page stores.
 func WithStrictMem(on bool) Option { return func(o *Options) { o.StrictMem = on } }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"tm3270/internal/config"
 	"tm3270/internal/runner"
@@ -123,7 +122,6 @@ func TestRunContextOptions(t *testing.T) {
 	res, err := runner.RunContext(context.Background(), spec(t, "memcpy"), config.ConfigD(),
 		runner.WithVerify(true),
 		runner.WithStrictMem(true),
-		runner.WithDeadline(time.Minute),
 		runner.WithTelemetry(sink))
 	if err != nil {
 		t.Fatal(err)

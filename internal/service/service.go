@@ -30,12 +30,10 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"tm3270/internal/config"
 	"tm3270/internal/runner"
 	"tm3270/internal/telemetry"
 )
@@ -320,20 +318,4 @@ func (s *Server) Close() {
 // newSessionID mints a process-unique session identifier.
 func (s *Server) newSessionID() string {
 	return fmt.Sprintf("s-%d", s.nextID.Add(1))
-}
-
-// parseTarget maps the API's target names onto the paper's processor
-// configurations.
-func parseTarget(name string) (config.Target, error) {
-	switch strings.ToLower(name) {
-	case "", "d", "tm3270":
-		return config.ConfigD(), nil
-	case "a", "tm3260":
-		return config.ConfigA(), nil
-	case "b":
-		return config.ConfigB(), nil
-	case "c":
-		return config.ConfigC(), nil
-	}
-	return config.Target{}, fmt.Errorf("unknown target %q (want A-D, TM3260 or TM3270)", name)
 }

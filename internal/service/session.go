@@ -280,7 +280,12 @@ func (s *Server) CreateSession(req CreateSessionRequest) (*SessionInfo, error) {
 	if err != nil {
 		return nil, &APIError{Code: 400, Msg: err.Error()}
 	}
-	target, err := parseTarget(req.Target)
+	// An empty target selects the TM3270 (configuration D).
+	tname := req.Target
+	if tname == "" {
+		tname = "TM3270"
+	}
+	target, err := config.ByName(tname)
 	if err != nil {
 		return nil, &APIError{Code: 400, Msg: err.Error()}
 	}
@@ -509,7 +514,7 @@ func (s *Server) Submit(ctx context.Context, id string, req RunRequest) (<-chan 
 			Msg: fmt.Sprintf("session %s quota exhausted", id), RetryAfter: s.cfg.RetryAfter}
 	}
 	reply := make(chan RunReply, 1)
-	accepted := s.pool.TrySubmitWait(func(wait time.Duration) {
+	accepted := s.pool.TrySubmit(func(wait time.Duration) {
 		defer s.runs.Done()
 		defer sess.release()
 		s.lat.queue.Observe(wait)

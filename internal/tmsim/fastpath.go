@@ -3,7 +3,6 @@ package tmsim
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"tm3270/internal/blockcache"
 	"tm3270/internal/dcache"
@@ -106,7 +105,7 @@ func (p *fastRing) drain(issue int64, regs *[isa.NumRegs]uint32) {
 
 // runFast is the execution loop: it runs the cycle and stall model —
 // instruction-cache fetches, data-cache accesses, redirect timing,
-// watchdog/deadline/cancellation cadence and trap semantics — over the
+// watchdog/cancellation cadence and trap semantics — over the
 // predecoded micro-op blocks of internal/blockcache. Its results are
 // pinned by the execution golden (internal/runner TestExecGolden) and
 // checked against the reference model by the differential cosim gate.
@@ -123,7 +122,6 @@ func (m *Machine) runFast(ctx context.Context) error {
 	if maxInstrs == 0 {
 		maxInstrs = 2_000_000_000
 	}
-	start := time.Now()
 	bus := busMem{f: m.Mem, pf: m.PF, strict: m.StrictMem}
 	delay := int64(m.Target.JumpDelaySlots)
 	regs := m.regs.Raw()
@@ -172,10 +170,6 @@ func (m *Machine) runFast(ctx context.Context) error {
 					fmt.Sprintf("exceeded %d instructions", maxInstrs))
 			}
 			if issue&0x1fff == 0 {
-				if m.Deadline > 0 && time.Since(start) > m.Deadline {
-					return m.trap(TrapDeadline, cycle, issue, idx,
-						fmt.Sprintf("exceeded wall-clock deadline %v", m.Deadline))
-				}
 				if cerr := ctx.Err(); cerr != nil {
 					t := m.trap(TrapCanceled, cycle, issue, idx,
 						fmt.Sprintf("run canceled: %v", cerr))

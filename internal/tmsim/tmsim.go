@@ -15,7 +15,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"tm3270/internal/blockcache"
 	"tm3270/internal/config"
@@ -101,11 +100,6 @@ type Machine struct {
 	// MaxInstrs aborts runaway executions (0 = default limit) with a
 	// watchdog trap.
 	MaxInstrs int64
-
-	// Deadline aborts executions exceeding a wall-clock budget with a
-	// deadline trap (0 = no deadline). It backstops MaxInstrs against
-	// schedules that stall rather than spin.
-	Deadline time.Duration
 
 	// StrictMem, when set, traps loads that touch bytes never written
 	// (instead of silently reading zeroes) and stores into the reserved
@@ -263,7 +257,7 @@ func (b busMem) Store(addr uint32, n int, v uint64) {
 
 // RunContext executes the loaded kernel to completion. Execution
 // faults — malformed memory accesses, control-flow violations,
-// watchdog and deadline expiry, and any internal panic of the
+// watchdog expiry, cancellation, and any internal panic of the
 // simulator core — are returned as a *TrapError carrying the PC,
 // cycle, register dump and the flight-recorder tail at the fault.
 // The loop polls ctx at the watchdog cadence (every 8192 issued

@@ -31,8 +31,6 @@ const (
 	TrapDelayViolation
 	// TrapWatchdog is the MaxInstrs instruction-count watchdog.
 	TrapWatchdog
-	// TrapDeadline is the wall-clock execution deadline.
-	TrapDeadline
 	// TrapInternal is a recovered Go panic inside the simulator core.
 	TrapInternal
 	// TrapCanceled is a cooperative abort via the run's context
@@ -55,8 +53,6 @@ func (k TrapKind) String() string {
 		return "delay-violation"
 	case TrapWatchdog:
 		return "watchdog"
-	case TrapDeadline:
-		return "deadline"
 	case TrapInternal:
 		return "internal-panic"
 	case TrapCanceled:

@@ -234,9 +234,9 @@ func TestInternalPanicBecomesTrap(t *testing.T) {
 	}
 }
 
-func TestDeadlineTraps(t *testing.T) {
-	// An effectively-infinite loop: the 1ns deadline fires long before
-	// the instruction-count watchdog.
+func TestContextDeadlineTrapsMidRun(t *testing.T) {
+	// An effectively-infinite loop: the context deadline fires long
+	// before the instruction-count watchdog, after the loop has issued.
 	b := prog.NewBuilder("spin")
 	i, cond := b.Reg(), b.Reg()
 	b.Imm(i, 0)
@@ -247,9 +247,20 @@ func TestDeadlineTraps(t *testing.T) {
 	p := b.MustProgram()
 
 	m := buildMachine(t, p, config.TM3270(), nil)
-	m.Deadline = time.Nanosecond
 	m.MaxInstrs = 1 << 40
-	wantTrap(t, m, tmsim.TrapDeadline)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	err := m.RunContext(ctx)
+	var trap *tmsim.TrapError
+	if !errors.As(err, &trap) || trap.Kind != tmsim.TrapCanceled {
+		t.Fatalf("run returned %v, want TrapCanceled", err)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("trap does not unwrap to context.DeadlineExceeded: %v", err)
+	}
+	if trap.Issue <= 0 {
+		t.Errorf("trap at issue %d, want a mid-run abort (issue > 0)", trap.Issue)
+	}
 }
 
 func TestRegisterDumpMatchesState(t *testing.T) {
