@@ -2,6 +2,7 @@ package workloads_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"tm3270/internal/config"
@@ -97,6 +98,31 @@ func TestTable5ReferenceSemantics(t *testing.T) {
 	for _, w := range mustTable5(t, workloads.Small()) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) { runReference(t, w) })
+	}
+}
+
+// TestReferenceStepErrors checks that Reference tags Init and Check
+// failures for errors.Is and keeps each step's own error text.
+func TestReferenceStepErrors(t *testing.T) {
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name string
+		edit func(*workloads.Spec)
+		step error
+	}{
+		{"init", func(w *workloads.Spec) { w.Init = func(*mem.Func) error { return boom } }, workloads.ErrInit},
+		{"check", func(w *workloads.Spec) { w.Check = func(*mem.Func) error { return boom } }, workloads.ErrCheck},
+	} {
+		w := workloads.Memcpy(workloads.Small())
+		tc.edit(w)
+		image, err := w.Reference()
+		if image != nil || !errors.Is(err, tc.step) || !errors.Is(err, boom) || err.Error() != "boom" {
+			t.Errorf("%s: image=%v err=%v; want nil image and a %q-tagged boom", tc.name, image, err, tc.step)
+		}
+	}
+	w := workloads.Memcpy(workloads.Small())
+	if image, err := w.Reference(); err != nil || image == nil {
+		t.Fatalf("memcpy reference: image=%v err=%v", image, err)
 	}
 }
 
