@@ -58,7 +58,7 @@ bench:
 # (BenchmarkVerify, BenchmarkWCET: mpeg2_super on config D, allocations
 # reported), so a change that breaks them fails the build.
 bench-smoke:
-	$(GO) test -run=NONE -bench='Verify|WCET' -benchtime=1x ./internal/runner/
+	$(GO) test -run=NONE -bench='Schedule|Verify|WCET' -benchtime=1x ./internal/runner/
 
 # campaign: the seeded fault-injection campaign (208 runs, each
 # classified detected, masked or not-injected) followed by the

@@ -12,6 +12,7 @@ import (
 	"tm3270/internal/binverify"
 	"tm3270/internal/config"
 	"tm3270/internal/runner"
+	"tm3270/internal/sched"
 	"tm3270/internal/workloads"
 )
 
@@ -119,6 +120,24 @@ func staticBenchArtifact(b *testing.B) (*runner.Artifact, *config.Target, *binve
 		b.Fatal(err)
 	}
 	return art, &tgt, art.VerifyOptions(w)
+}
+
+// BenchmarkSchedule measures one list scheduling of mpeg2_super at
+// Full() sizes for config D: dependence graphs, priorities and the
+// cycle-by-cycle issue of every block.
+func BenchmarkSchedule(b *testing.B) {
+	w, err := workloads.ByName("mpeg2_super", workloads.Full())
+	if err != nil {
+		b.Fatal(err)
+	}
+	tgt := config.ConfigD()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sched.Schedule(w.Prog, tgt); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkVerify measures one full static verification (decode,

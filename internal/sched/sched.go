@@ -12,7 +12,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"tm3270/internal/config"
 	"tm3270/internal/isa"
@@ -96,13 +98,14 @@ func Schedule(p *prog.Program, t config.Target) (*Code, error) {
 		return nil, fmt.Errorf("sched: %w", err)
 	}
 	c := &Code{Name: p.Name, Target: t, Labels: make(map[string]int), LoopBounds: p.LoopBounds}
+	s := &scratch{lastDef: make([]int, p.NumVRegs), uses: make([][]int, p.NumVRegs)}
 	for _, b := range p.Blocks {
 		start := len(c.Instrs)
 		c.BlockStart = append(c.BlockStart, start)
 		if b.Label != "" {
 			c.Labels[b.Label] = start
 		}
-		if err := scheduleBlock(c, b, &t); err != nil {
+		if err := s.scheduleBlock(c, b, &t); err != nil {
 			return nil, fmt.Errorf("sched %s: block %q: %w", p.Name, b.Label, err)
 		}
 	}
@@ -124,14 +127,61 @@ func slotsFor(op *prog.Op, t *config.Target) isa.SlotMask {
 	return isa.DefaultSlots(info.Class)
 }
 
-// dep is one scheduling dependence: successor must issue at least
-// weight cycles after the predecessor.
-type dep struct {
-	pred   int
-	weight int
+// edge is one scheduling dependence: to must issue at least weight
+// cycles after the op whose successor chain holds the edge.
+type edge struct {
+	to, weight int32
+	next       int32 // next edge of the same predecessor, or -1
 }
 
-func scheduleBlock(c *Code, b *prog.Block, t *config.Target) error {
+// opState is the scheduler's view of one operation of the block.
+type opState struct {
+	lat      int
+	prio     int   // longest latency-weighted path to any sink
+	succ     int32 // first out-edge in scratch.edges, or -1
+	npred    int   // predecessors not yet issued
+	earliest int   // first cycle the issued predecessors' latencies allow
+	issue    int   // issue cycle, or -1
+	next     int   // next op in the same ready bucket, or -1
+}
+
+// scratch is the list scheduler's working memory, allocated once per
+// Schedule call and reused by every block.
+type scratch struct {
+	// Dependence construction, indexed by virtual register: the last
+	// definition (-1 for none) and the reads since it.
+	lastDef       []int
+	uses          [][]int
+	loads, stores []int
+	edges         []edge
+
+	ops []opState
+	// bucket[c] heads the chain of ops whose last predecessor has
+	// issued and whose latencies allow issue from cycle c.
+	bucket []int
+	// ready holds the ops that may issue this cycle, highest priority
+	// first and then in program order.
+	ready []int
+	// wb counts register results committing per cycle: the register
+	// file has WBPorts write ports, so an op whose results would land on
+	// a full cycle must issue later. Results of different latencies
+	// issued on different cycles can collide on the same commit cycle,
+	// which the slot constraints alone do not prevent. (The block drain
+	// rule keeps every commit inside the block, so per-block accounting
+	// is exact.)
+	wb []int
+}
+
+// becomesReady files op i in the bucket of cycle c.
+func (s *scratch) becomesReady(i, c int) {
+	for len(s.bucket) <= c {
+		s.bucket = append(s.bucket, -1)
+	}
+	s.ops[i].next = s.bucket[c]
+	s.bucket[c] = i
+}
+
+func (s *scratch) scheduleBlock(c *Code, b *prog.Block, t *config.Target) error {
 	body := b.Body()
 	jump := b.Jump()
 
@@ -142,84 +192,28 @@ func scheduleBlock(c *Code, b *prog.Block, t *config.Target) error {
 		}
 	}
 
-	deps := buildDeps(body, t)
-
-	lat := func(i int) int { return t.OpLatency(body[i].Opcode) }
+	if cap(s.ops) < len(body) {
+		s.ops = make([]opState, len(body))
+	}
+	ops := s.ops[:len(body)]
+	for i := range ops {
+		ops[i] = opState{lat: t.OpLatency(body[i].Opcode), succ: -1, issue: -1}
+	}
+	s.buildDeps(body)
 
 	// Priority: longest path to any sink, including own latency.
-	prio := make([]int, len(body))
-	succ := make([][]dep, len(body))
-	for i := range body {
-		for _, d := range deps[i] {
-			succ[d.pred] = append(succ[d.pred], dep{pred: i, weight: d.weight})
-		}
-	}
-	for i := len(body) - 1; i >= 0; i-- {
-		prio[i] = lat(i)
-		for _, s := range succ[i] {
-			if v := s.weight + prio[s.pred]; v > prio[i] {
-				prio[i] = v
-			}
+	for i := len(ops) - 1; i >= 0; i-- {
+		ops[i].prio = ops[i].lat
+		for k := ops[i].succ; k >= 0; k = s.edges[k].next {
+			e := &s.edges[k]
+			ops[i].prio = max(ops[i].prio, int(e.weight)+ops[e.to].prio)
 		}
 	}
 
-	issue := make([]int, len(body))
-	for i := range issue {
-		issue[i] = -1
-	}
-	var instrs []Instr
+	base := len(c.Instrs)
 	ensure := func(n int) {
-		for len(instrs) < n {
-			instrs = append(instrs, Instr{})
-		}
-	}
-
-	// wb counts register results committing per cycle: the register file
-	// has WBPorts write ports, so an op whose results would land on a
-	// full cycle must issue later. Results of different latencies issued
-	// on different cycles can collide on the same commit cycle, which the
-	// slot constraints alone do not prevent. (The block drain rule keeps
-	// every commit inside the block, so per-block accounting is exact.)
-	wb := map[int]int{}
-
-	remaining := len(body)
-	for cycle := 0; remaining > 0; cycle++ {
-		if cycle > 64*len(body)+1024 {
-			return fmt.Errorf("scheduler did not converge")
-		}
-		ensure(cycle + 1)
-		// Candidate ops ready this cycle, highest priority first.
-		var ready []int
-		for i := range body {
-			if issue[i] >= 0 {
-				continue
-			}
-			ok := true
-			earliest := 0
-			for _, d := range deps[i] {
-				if issue[d.pred] < 0 {
-					ok = false
-					break
-				}
-				if e := issue[d.pred] + d.weight; e > earliest {
-					earliest = e
-				}
-			}
-			if ok && earliest <= cycle {
-				ready = append(ready, i)
-			}
-		}
-		sortByPriority(ready, prio)
-		for _, i := range ready {
-			nd := body[i].Info().NDest
-			if nd > 0 && wb[cycle+lat(i)]+nd > WBPorts {
-				continue
-			}
-			if place(&instrs[cycle], &body[i], t) {
-				issue[i] = cycle
-				remaining--
-				wb[cycle+lat(i)] += nd
-			}
+		for len(c.Instrs) < base+n {
+			c.Instrs = append(c.Instrs, Instr{})
 		}
 	}
 
@@ -227,50 +221,81 @@ func scheduleBlock(c *Code, b *prog.Block, t *config.Target) error {
 	// that successor blocks (on either path) observe it. The exposed
 	// pipeline has no interlocks; this is the compiler's contract.
 	drain := 0
-	lastIssue := -1
-	for i := range body {
-		if e := issue[i] + lat(i); e > drain {
-			drain = e
+	s.bucket, s.ready, s.wb = s.bucket[:0], s.ready[:0], s.wb[:0]
+	for i := range ops {
+		if ops[i].npred == 0 {
+			s.becomesReady(i, 0)
 		}
-		if issue[i] > lastIssue {
-			lastIssue = issue[i]
+	}
+	remaining := len(body)
+	for cycle := 0; remaining > 0; cycle++ {
+		if cycle > 64*len(body)+1024 {
+			return fmt.Errorf("scheduler did not converge")
 		}
+		ensure(cycle + 1)
+		if cycle < len(s.bucket) {
+			for i := s.bucket[cycle]; i >= 0; i = ops[i].next {
+				j, _ := slices.BinarySearchFunc(s.ready, i, func(a, i int) int {
+					return cmp.Or(cmp.Compare(ops[i].prio, ops[a].prio), cmp.Compare(a, i))
+				})
+				s.ready = slices.Insert(s.ready, j, i)
+			}
+		}
+		in := &c.Instrs[base+cycle]
+		waiting := s.ready[:0]
+		for _, i := range s.ready {
+			nd := body[i].Info().NDest
+			w := cycle + ops[i].lat
+			for len(s.wb) <= w {
+				s.wb = append(s.wb, 0)
+			}
+			if (nd > 0 && s.wb[w]+nd > WBPorts) || !place(in, &body[i], t) {
+				waiting = append(waiting, i)
+				continue
+			}
+			ops[i].issue = cycle
+			remaining--
+			s.wb[w] += nd
+			drain = max(drain, w)
+			// A successor joins the ready set at the start of a later
+			// cycle, so even a weight-0 (WAR) successor issues after
+			// this cycle.
+			for k := ops[i].succ; k >= 0; k = s.edges[k].next {
+				e := &s.edges[k]
+				o := &ops[e.to]
+				o.earliest = max(o.earliest, cycle+int(e.weight))
+				if o.npred--; o.npred == 0 {
+					s.becomesReady(int(e.to), max(o.earliest, cycle+1))
+				}
+			}
+		}
+		s.ready = waiting
 	}
 
-	blockLen := len(instrs)
-	if blockLen < drain {
-		blockLen = drain
-	}
+	// The body's last op issued in its last instruction.
+	lastIssue := len(c.Instrs) - base - 1
+	blockLen := max(lastIssue+1, drain)
 
 	if jump != nil {
 		if !t.Supports(jump.Opcode) {
 			return fmt.Errorf("jump op %s unsupported", jump.Info().Name)
 		}
 		d := t.JumpDelaySlots
-		// Guard readiness (RAW on the guard register).
+		// Guard readiness (RAW on the guard register). WAW edges make
+		// every definition commit after the one before, so the block's
+		// last definition, which buildDeps leaves in lastDef, is the
+		// one to wait for.
 		guardReady := 0
-		for i := range body {
-			info := body[i].Info()
-			for k := 0; k < info.NDest; k++ {
-				if body[i].Dest[k] == jump.Guard {
-					if e := issue[i] + lat(i); e > guardReady {
-						guardReady = e
-					}
-				}
-			}
+		if g := s.lastDef[jump.Guard]; g >= 0 {
+			guardReady = ops[g].issue + ops[g].lat
 		}
-		jc := guardReady
-		if v := lastIssue - d; v > jc {
-			jc = v
-		}
-		if v := drain - d - 1; v > jc {
-			jc = v
-		}
+		jc := max(guardReady, lastIssue-d, drain-d-1)
 		// Find a free branch-unit slot (2, 3 or 4) at or after jc.
 		for {
 			ensure(jc + 1)
-			if s := freeSlot(&instrs[jc], isa.DefaultSlots(isa.UnitBranch)); s >= 0 {
-				instrs[jc].Slots[s] = SlotOp{Op: jump}
+			in := &c.Instrs[base+jc]
+			if s := freeSlot(in, isa.DefaultSlots(isa.UnitBranch)); s >= 0 {
+				in.Slots[s] = SlotOp{Op: jump}
 				break
 			}
 			jc++
@@ -281,99 +306,87 @@ func scheduleBlock(c *Code, b *prog.Block, t *config.Target) error {
 		blockLen = jc + d + 1
 	}
 
-	ensureLen := func(n int) {
-		for len(instrs) < n {
-			instrs = append(instrs, Instr{})
-		}
-	}
-	ensureLen(blockLen)
-	instrs = instrs[:blockLen]
-
-	c.Instrs = append(c.Instrs, instrs...)
+	ensure(blockLen)
+	c.Instrs = c.Instrs[:base+blockLen]
 	c.SrcOps += len(b.Ops)
 	return nil
 }
 
-// buildDeps constructs the dependence edges of a block body.
-func buildDeps(body []prog.Op, t *config.Target) [][]dep {
-	deps := make([][]dep, len(body))
-	lastDef := map[prog.VReg]int{}
-	usesSinceDef := map[prog.VReg][]int{}
-	var loads, stores []int
+// buildDeps constructs the dependence edges of a block body: it chains
+// each edge to its predecessor's successors and counts it in the
+// successor's npred. The latencies in s.ops must be set.
+func (s *scratch) buildDeps(body []prog.Op) {
+	for r := range s.lastDef {
+		s.lastDef[r] = -1
+		s.uses[r] = s.uses[r][:0]
+	}
+	s.edges, s.loads, s.stores = s.edges[:0], s.loads[:0], s.stores[:0]
 
-	lat := func(i int) int { return t.OpLatency(body[i].Opcode) }
+	lat := func(i int) int { return s.ops[i].lat }
 	add := func(succ, pred, weight int) {
 		if succ == pred {
 			return // self-edges (rejected by Validate) must never deadlock
 		}
-		deps[succ] = append(deps[succ], dep{pred: pred, weight: weight})
+		s.edges = append(s.edges, edge{to: int32(succ), weight: int32(weight), next: s.ops[pred].succ})
+		s.ops[pred].succ = int32(len(s.edges) - 1)
+		s.ops[succ].npred++
 	}
 
 	for i := range body {
 		op := &body[i]
 		info := op.Info()
 
-		reads := make([]prog.VReg, 0, 5)
-		reads = append(reads, op.Guard)
-		for s := 0; s < info.NSrc; s++ {
-			reads = append(reads, op.Src[s])
-		}
-		for _, r := range reads {
+		reads := [5]prog.VReg{op.Guard, op.Src[0], op.Src[1], op.Src[2], op.Src[3]}
+		for _, r := range reads[:1+info.NSrc] {
 			if r.Pinned() {
 				continue
 			}
-			if d, ok := lastDef[r]; ok {
+			if d := s.lastDef[r]; d >= 0 {
 				add(i, d, lat(d)) // RAW
 			}
-			usesSinceDef[r] = append(usesSinceDef[r], i)
+			s.uses[r] = append(s.uses[r], i)
 		}
-		for k := 0; k < info.NDest; k++ {
-			d := op.Dest[k]
-			if pd, ok := lastDef[d]; ok {
-				w := lat(pd) - lat(i) + 1 // WAW: later def must commit later
-				if w < 1 {
-					w = 1
-				}
-				add(i, pd, w)
+		for _, d := range op.Dest[:info.NDest] {
+			if pd := s.lastDef[d]; pd >= 0 {
+				// WAW: later def must commit later
+				add(i, pd, max(lat(pd)-lat(i)+1, 1))
 			}
-			for _, u := range usesSinceDef[d] {
+			for _, u := range s.uses[d] {
 				if u != i {
 					add(i, u, 0) // WAR: read at issue, write commits later
 				}
 			}
 			// A guarded definition merges with the previous value, so it
 			// also counts as a use for subsequent writers.
-			lastDef[d] = i
+			s.lastDef[d] = i
+			s.uses[d] = s.uses[d][:0]
 			if op.Guard != prog.One {
-				usesSinceDef[d] = []int{i}
-			} else {
-				usesSinceDef[d] = nil
+				s.uses[d] = append(s.uses[d], i)
 			}
 		}
 
 		switch {
 		case info.IsLoad:
-			for _, s := range stores {
-				if mayAlias(op, &body[s]) {
-					add(i, s, 1) // memory RAW
+			for _, st := range s.stores {
+				if mayAlias(op, &body[st]) {
+					add(i, st, 1) // memory RAW
 				}
 			}
-			loads = append(loads, i)
+			s.loads = append(s.loads, i)
 		case info.IsStore:
-			for _, l := range loads {
+			for _, l := range s.loads {
 				if mayAlias(op, &body[l]) {
 					add(i, l, 0) // memory WAR
 				}
 			}
-			for _, s := range stores {
-				if mayAlias(op, &body[s]) {
-					add(i, s, 1) // memory WAW
+			for _, st := range s.stores {
+				if mayAlias(op, &body[st]) {
+					add(i, st, 1) // memory WAW
 				}
 			}
-			stores = append(stores, i)
+			s.stores = append(s.stores, i)
 		}
 	}
-	return deps
 }
 
 // mayAlias reports whether two memory operations may touch overlapping
@@ -440,19 +453,4 @@ func freeSlot(in *Instr, mask isa.SlotMask) int {
 		}
 	}
 	return -1
-}
-
-func sortByPriority(idx []int, prio []int) {
-	// Insertion sort: ready lists are short. Stable on index for
-	// determinism (earlier program order wins ties).
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0; j-- {
-			a, b := idx[j-1], idx[j]
-			if prio[b] > prio[a] || (prio[b] == prio[a] && b < a) {
-				idx[j-1], idx[j] = b, a
-			} else {
-				break
-			}
-		}
-	}
 }

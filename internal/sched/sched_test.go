@@ -1,6 +1,8 @@
 package sched_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"tm3270/internal/config"
@@ -304,6 +306,111 @@ func TestScheduleIsDeterministic(t *testing.T) {
 				t.Fatalf("instr %d slot %d differs", i, s+1)
 			}
 		}
+	}
+}
+
+func TestWARSuccessorIssuesNextCycle(t *testing.T) {
+	// The redefinition of v may commit no earlier than the read of v
+	// issues (weight 0), but the ready set is formed at the start of a
+	// cycle, so the writer issues one cycle after the reader even though
+	// slots are free in the reader's instruction.
+	b := prog.NewBuilder("war")
+	v, w, r, x := b.Reg(), b.Reg(), b.Reg(), b.Reg()
+	b.Sub(r, v, w)
+	b.Xor(v, x, w)
+	c := mustSchedule(t, b.MustProgram(), config.TM3270())
+	ri, _ := issueOf(c, isa.OpISUB)
+	wi, _ := issueOf(c, isa.OpBITXOR)
+	if ri != 0 || wi != 1 {
+		t.Errorf("reader at %d, WAR writer at %d; want 0 and 1", ri, wi)
+	}
+}
+
+func TestWritePortDeferredOpKeepsPriority(t *testing.T) {
+	// Five results land on cycle 3: two muls issued at 0 and the three
+	// adds a..c issued at 2. The equal-priority sub x, ready at 2 too
+	// but later in program order, finds free slots there and no free
+	// write port, so it waits. At cycle 3 it must still go ahead of the
+	// lower-priority xors that became ready then: after two muls
+	// issued at 1 and x, only two of them fit on commit cycle 4.
+	b := prog.NewBuilder("wbports")
+	in, in2 := b.Reg(), b.Reg()
+	p0, p1 := b.Reg(), b.Reg()
+	b.Add(p0, in, in2)
+	b.Add(p1, p0, p0)
+	for i := 0; i < 2; i++ {
+		b.Mul(b.Reg(), in, in2)
+		b.Mul(b.Reg(), p0, in2)
+	}
+	adds := b.Regs(3)
+	for _, a := range adds {
+		b.Add(a, p1, in)
+	}
+	x := b.Reg()
+	b.Sub(x, p1, in2)
+	for _, a := range adds {
+		b.Xor(b.Reg(), a, in)
+	}
+	b.Or(b.Reg(), x, in) // gives x the adds' priority
+	c := mustSchedule(t, b.MustProgram(), config.TM3270())
+
+	xi, _ := issueOf(c, isa.OpISUB)
+	if xi != 3 {
+		t.Fatalf("sub issued at %d, want 3 (deferred one cycle by the write ports)", xi)
+	}
+	if n := c.Instrs[2].OpCount(); n != 3 {
+		t.Errorf("instruction 2 holds %d ops, want the 3 adds with slots to spare", n)
+	}
+	var xors []int
+	for i := range c.Instrs {
+		for _, so := range c.Instrs[i].Slots {
+			if so.Op != nil && so.Op.Opcode == isa.OpBITXOR {
+				xors = append(xors, i)
+			}
+		}
+	}
+	if want := []int{3, 3, 4}; fmt.Sprint(xors) != fmt.Sprint(want) {
+		t.Errorf("xors issued at %v, want %v", xors, want)
+	}
+}
+
+func TestEqualPriorityIssuesInProgramOrder(t *testing.T) {
+	// Two equal-priority loads compete for the TM3270's one load per
+	// instruction at cycle 2. The ld32r became ready at cycle 0 and was
+	// held back by higher-priority loads; the ld16d, earlier in program
+	// order, only became ready at cycle 2. Program order decides.
+	b := prog.NewBuilder("ties")
+	base, p0, p1 := b.Reg(), b.Reg(), b.Reg()
+	b.Add(p0, base, base)
+	b.Add(p1, p0, p0)
+	b.Ld16D(b.Reg(), p1, 0)
+	b.Ld32R(b.Reg(), base, base)
+	for i := 0; i < 2; i++ {
+		v := b.Reg()
+		b.Ld32D(v, base, int32(4*i))
+		b.Add(b.Reg(), v, v)
+	}
+	c := mustSchedule(t, b.MustProgram(), config.TM3270())
+	early, _ := issueOf(c, isa.OpLD16D)
+	late, _ := issueOf(c, isa.OpLD32R)
+	if early != 2 || late != 3 {
+		t.Errorf("ld16d at %d, ld32r at %d; want 2 and 3", early, late)
+	}
+}
+
+func TestScheduleGivesUpWhenNothingFits(t *testing.T) {
+	// A target that validates but allows no load in any instruction can
+	// never place a load: the scheduler must report it, not spin.
+	tgt := config.TM3270()
+	tgt.MaxLoadsPerInstr = 0
+	if err := tgt.Validate(); err != nil {
+		t.Fatalf("target must pass Validate for this test: %v", err)
+	}
+	b := prog.NewBuilder("noload")
+	b.Ld32D(b.Reg(), b.Reg(), 0)
+	_, err := sched.Schedule(b.MustProgram(), tgt)
+	if err == nil || !strings.Contains(err.Error(), "scheduler did not converge") {
+		t.Fatalf("err = %v, want the convergence guard", err)
 	}
 }
 
