@@ -15,8 +15,8 @@ GO ?= go
 # load, assert zero 5xx and a clean SIGTERM drain), and the campaign
 # kill/resume smoke (shard a cosim campaign, SIGKILL one shard mid-run,
 # resume, and byte-compare the merged aggregate against an unsharded
-# run), and one iteration of the static-verifier allocation benchmarks
-# so they cannot rot.
+# run), and one iteration of the scheduler and static-verifier
+# allocation benchmarks so they cannot rot.
 check: lint race cover cosim bench-json bench-par serve-smoke campaign-smoke bench-smoke
 
 build:
@@ -54,9 +54,10 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# bench-smoke: one iteration each of the static-verifier benchmarks
-# (BenchmarkVerify, BenchmarkWCET: mpeg2_super on config D, allocations
-# reported), so a change that breaks them fails the build.
+# bench-smoke: one iteration each of the scheduler and static-verifier
+# benchmarks (BenchmarkSchedule, BenchmarkVerify, BenchmarkWCET:
+# mpeg2_super on config D, allocations reported), so a change that
+# breaks them fails the build.
 bench-smoke:
 	$(GO) test -run=NONE -bench='Schedule|Verify|WCET' -benchtime=1x ./internal/runner/
 

@@ -128,7 +128,8 @@ func slotsFor(op *prog.Op, t *config.Target) isa.SlotMask {
 }
 
 // edge is one scheduling dependence: to must issue at least weight
-// cycles after the op whose successor chain holds the edge.
+// cycles after the op whose successor chain holds the edge. The fields
+// are int32 because a block's alias edges grow with loads × stores.
 type edge struct {
 	to, weight int32
 	next       int32 // next edge of the same predecessor, or -1
@@ -221,6 +222,7 @@ func (s *scratch) scheduleBlock(c *Code, b *prog.Block, t *config.Target) error 
 	// that successor blocks (on either path) observe it. The exposed
 	// pipeline has no interlocks; this is the compiler's contract.
 	drain := 0
+
 	s.bucket, s.ready, s.wb = s.bucket[:0], s.ready[:0], s.wb[:0]
 	for i := range ops {
 		if ops[i].npred == 0 {
@@ -235,8 +237,8 @@ func (s *scratch) scheduleBlock(c *Code, b *prog.Block, t *config.Target) error 
 		ensure(cycle + 1)
 		if cycle < len(s.bucket) {
 			for i := s.bucket[cycle]; i >= 0; i = ops[i].next {
-				j, _ := slices.BinarySearchFunc(s.ready, i, func(a, i int) int {
-					return cmp.Or(cmp.Compare(ops[i].prio, ops[a].prio), cmp.Compare(a, i))
+				j, _ := slices.BinarySearchFunc(s.ready, i, func(x, y int) int {
+					return cmp.Or(cmp.Compare(ops[y].prio, ops[x].prio), cmp.Compare(x, y))
 				})
 				s.ready = slices.Insert(s.ready, j, i)
 			}
