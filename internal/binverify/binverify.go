@@ -229,9 +229,11 @@ type verifier struct {
 	entryDefined regSet
 
 	// Semantic-layer results (nil/empty until the passes run).
-	dom    []bitset      // dom[i]: nodes dominating i (reachable nodes only)
+	idom   []int         // immediate dominator of each reachable node (entry: itself)
+	rpo    []int         // reverse-postorder number of each node (-1: unreachable)
 	loops  []*loop       // natural loops, merged by header
 	ranges []*rangeState // per-node register intervals at entry (nil: top)
+	slab   []rangeState  // backing store of ranges, shared by both range passes
 
 	rangeCap     int  // worklist iterations before a range pass gives up
 	rangesCapped bool // a range pass gave up: v.ranges is all top

@@ -20,6 +20,11 @@ type loop struct {
 	indEntry interval
 
 	irreducible bool // marks the synthetic "irreducible cycle" record
+
+	// In-loop writes per register, from one scan of the body (see
+	// scanWrites): how many operations write it, and the last of them.
+	writes [isa.NumRegs]int
+	writer [isa.NumRegs]*vop
 }
 
 // findLoops detects back edges (u -> h with h dominating u), builds the
@@ -129,6 +134,7 @@ func (v *verifier) inferLoopBounds() {
 		if l.irreducible {
 			continue
 		}
+		v.scanWrites(l)
 		annotated, hasAnn := int64(0), false
 		if v.opts != nil {
 			if b, ok := v.opts.LoopBounds[v.dec[l.header].Addr]; ok && b > 0 {
@@ -217,7 +223,7 @@ func (v *verifier) inferBound(l *loop) (int64, bool) {
 			if side == 1 {
 				rel = k.flip()
 			}
-			if v.writesInLoop(other, l) > 0 {
+			if l.writes[other] > 0 {
 				continue
 			}
 			if limit, ok := v.ranges[cmpIdx].get(other); ok && limit.valid() {
@@ -227,7 +233,7 @@ func (v *verifier) inferBound(l *loop) (int64, bool) {
 	}
 
 	for _, c := range cands {
-		step, ok := v.inductionStep(c.reg, l)
+		step, ok := l.inductionStep(c.reg)
 		if !ok {
 			continue
 		}
@@ -304,9 +310,9 @@ func (v *verifier) uniqueLoopDef(reg isa.Reg, at int, l *loop) (int, *vop, bool)
 	return defIdx, defOp, true
 }
 
-// writesInLoop counts the operations in the loop body writing reg.
-func (v *verifier) writesInLoop(reg isa.Reg, l *loop) int {
-	n := 0
+// scanWrites records, for every register, the operations in the loop
+// body that write it.
+func (v *verifier) scanWrites(l *loop) {
 	for i := 0; i < len(v.dec); i++ {
 		if !l.body.has(i) {
 			continue
@@ -317,40 +323,18 @@ func (v *verifier) writesInLoop(reg isa.Reg, l *loop) int {
 				continue
 			}
 			for _, d := range op.dests {
-				if d == reg {
-					n++
-				}
+				l.writes[d]++
+				l.writer[d] = op
 			}
 		}
 	}
-	return n
 }
 
 // inductionStep checks that reg is a linear induction register of the
 // loop: exactly one in-loop write, an unguarded iaddi reg, reg, #step.
-func (v *verifier) inductionStep(reg isa.Reg, l *loop) (int64, bool) {
-	var upd *vop
-	for i := 0; i < len(v.dec); i++ {
-		if !l.body.has(i) {
-			continue
-		}
-		for k := range v.ops[i] {
-			op := &v.ops[i][k]
-			if neverExec(op) {
-				continue
-			}
-			for _, d := range op.dests {
-				if d != reg {
-					continue
-				}
-				if upd != nil {
-					return 0, false
-				}
-				upd = op
-			}
-		}
-	}
-	if upd == nil || upd.oc != isa.OpIADDI || upd.guard != isa.R1 ||
+func (l *loop) inductionStep(reg isa.Reg) (int64, bool) {
+	upd := l.writer[reg]
+	if l.writes[reg] != 1 || upd.oc != isa.OpIADDI || upd.guard != isa.R1 ||
 		len(upd.srcs) == 0 || upd.srcs[0] != reg {
 		return 0, false
 	}
@@ -492,53 +476,29 @@ func (v *verifier) boundedWidenings() map[int]*rangeState {
 		if l.irreducible || l.bound == 0 {
 			continue
 		}
-		written := v.loopWrittenRegs(l)
-		written.each(func(reg isa.Reg) {
-			step, ok := v.inductionStep(reg, l)
-			if !ok {
-				return
+		for reg := isa.Reg(0); reg < isa.NumRegs; reg++ {
+			step, ok := l.inductionStep(reg)
+			if !ok || reg.Hardwired() {
+				continue
 			}
 			entry, ok := v.loopEntryInterval(reg, l)
 			if !ok {
-				return
+				continue
 			}
 			b := interval{
 				entry.lo + min64(0, step*l.bound),
 				entry.hi + max64(0, step*l.bound),
 			}
 			if !b.valid() {
-				return
+				continue
 			}
 			if clamps[l.header] == nil {
 				clamps[l.header] = &rangeState{}
 			}
 			clamps[l.header].set(reg, b)
-		})
+		}
 	}
 	return clamps
-}
-
-// loopWrittenRegs returns the non-hardwired registers written anywhere
-// in the loop body.
-func (v *verifier) loopWrittenRegs(l *loop) regSet {
-	var regs regSet
-	for i := 0; i < len(v.dec); i++ {
-		if !l.body.has(i) {
-			continue
-		}
-		for k := range v.ops[i] {
-			op := &v.ops[i][k]
-			if neverExec(op) {
-				continue
-			}
-			for _, d := range op.dests {
-				if !d.Hardwired() {
-					regs.add(d)
-				}
-			}
-		}
-	}
-	return regs
 }
 
 // checkLoopBounds reports loops the cycle-bound analysis cannot bound.
