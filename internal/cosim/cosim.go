@@ -134,21 +134,6 @@ func copyImage(f *mem.Func) *refmodel.Mem {
 	return m
 }
 
-// copyFunc clones an initial image into a fresh mem.Func, preserving
-// per-byte write validity (a whole-page WriteBytes copy would mark
-// every byte defined and mask strict-mode divergences).
-func copyFunc(src *mem.Func) *mem.Func {
-	dst := mem.NewFunc()
-	for _, pa := range src.PageAddrs() {
-		for i := uint32(0); i < 1<<12; i++ {
-			if src.Defined(pa+i, 1) {
-				dst.SetByte(pa+i, src.ByteAt(pa+i))
-			}
-		}
-	}
-	return dst
-}
-
 // run is one fully-prepared co-simulation: compiled artifact, initial
 // image and entry arguments.
 type run struct {
@@ -162,7 +147,7 @@ type run struct {
 func (r *run) newSim() *tmsim.Machine {
 	var image *mem.Func
 	if r.init != nil {
-		image = copyFunc(r.init)
+		image = r.init.Clone()
 	}
 	return runner.Load(r.art, image).Machine
 }
@@ -253,8 +238,10 @@ func diffFinal(sim *tmsim.Machine, simErr error, ref *refmodel.Machine,
 					i, simRegs[i], refRegs[i])}
 		}
 	}
-	if d := diffMem(sim.Mem, ref.Mem); d != nil {
-		return d
+	if a, diff := mem.Diff(sim.Mem, ref.Mem, nil); diff {
+		return &Divergence{Kind: "mem",
+			Detail: fmt.Sprintf("byte %#x = %#x (pipeline) vs %#x (reference)",
+				a, sim.Mem.ByteAt(a), ref.Mem.ByteAt(a))}
 	}
 	if t.HasRegionPrefetch {
 		refBank := ref.MMIORegs()
@@ -265,27 +252,6 @@ func diffFinal(sim *tmsim.Machine, simErr error, ref *refmodel.Machine,
 				return &Divergence{Kind: "mmio",
 					Detail: fmt.Sprintf("prefetch region %d = %v (pipeline) vs %v (reference)",
 						n, simBank, refBank[n])}
-			}
-		}
-	}
-	return nil
-}
-
-// diffMem compares final memory images over the union of touched pages.
-func diffMem(f *mem.Func, r *refmodel.Mem) *Divergence {
-	pages := map[uint32]bool{}
-	for _, pa := range f.PageAddrs() {
-		pages[pa] = true
-	}
-	for _, pa := range r.PageAddrs() {
-		pages[pa] = true
-	}
-	for pa := range pages {
-		for i := uint32(0); i < 1<<12; i++ {
-			if a, b := f.ByteAt(pa+i), r.ByteAt(pa+i); a != b {
-				return &Divergence{Kind: "mem",
-					Detail: fmt.Sprintf("byte %#x = %#x (pipeline) vs %#x (reference)",
-						pa+i, a, b)}
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 
 	"tm3270/internal/campaign"
 	"tm3270/internal/config"
+	"tm3270/internal/encode"
 	"tm3270/internal/isa"
 	"tm3270/internal/mem"
 	"tm3270/internal/prog"
@@ -242,6 +243,40 @@ func TestStrictUndefinedReadAgreement(t *testing.T) {
 	}
 	if res.Div != nil {
 		t.Errorf("non-strict run diverged: %s", res.Div)
+	}
+}
+
+// TestFinalMemDivergence: a final-image difference is reported as a
+// "mem" divergence at the lowest differing address, whichever page the
+// images' page lists name first.
+func TestFinalMemDivergence(t *testing.T) {
+	b := prog.NewBuilder("mem_div")
+	base, v := b.Reg(), b.Reg()
+	b.St32D(base, 8, v)
+	p := b.MustProgram()
+	tgt := config.ConfigD()
+	art, err := runner.Compile(p, tgt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &run{name: "mem_div", art: art, t: tgt, init: mem.NewFunc(),
+		args: map[isa.Reg]uint32{art.RegMap.Reg(base): 0x2000, art.RegMap.Reg(v): 0x01020304}}
+	dec, err := encode.Decode(art.Enc.Bytes, tmsim.CodeBase, len(art.Code.Instrs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, ref := r.newPair(dec, Options{})
+	simErr := sim.RunContext(context.Background())
+	refTrap := ref.Run()
+	if d := diffFinal(sim, simErr, ref, refTrap, &tgt); d != nil {
+		t.Fatalf("clean run diverged: %s", d)
+	}
+	ref.Mem.SetByte(0x7004, 1)
+	ref.Mem.SetByte(0x200a, 9) // inside the stored word, on the lower page
+	d := diffFinal(sim, simErr, ref, refTrap, &tgt)
+	want := "byte 0x200a = 0x3 (pipeline) vs 0x9 (reference)"
+	if d == nil || d.Kind != "mem" || d.Detail != want {
+		t.Fatalf("divergence = %v, want mem: %s", d, want)
 	}
 }
 

@@ -230,7 +230,7 @@ func runOne(ctx context.Context, name string, cfg CampaignConfig, spec Spec, see
 		}
 		return addr >= prefetch.MMIOBase && addr < prefetch.MMIOBase+prefetch.MMIOSize
 	}
-	if addr, diff := mem.DiffIgnore(image, ref, ignore); diff {
+	if addr, diff := mem.Diff(image, ref, ignore); diff {
 		rep.Outcome = DetectedDivergence
 		rep.Detail = fmt.Sprintf("memory diverges from reference at %#x", addr)
 		return rep, nil

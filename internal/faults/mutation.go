@@ -229,25 +229,6 @@ func diffDetects(mut *refmodel.Machine, gold *golden) bool {
 	if mut.MMIORegs() != gold.mmio {
 		return true
 	}
-	return !memEqual(mut.Mem, gold.mem)
-}
-
-// memEqual compares two reference-model images over the union of their
-// touched pages.
-func memEqual(a, b *refmodel.Mem) bool {
-	pages := map[uint32]bool{}
-	for _, pa := range a.PageAddrs() {
-		pages[pa] = true
-	}
-	for _, pa := range b.PageAddrs() {
-		pages[pa] = true
-	}
-	for pa := range pages {
-		for i := uint32(0); i < 1<<12; i++ {
-			if a.ByteAt(pa+i) != b.ByteAt(pa+i) {
-				return false
-			}
-		}
-	}
-	return true
+	_, diff := mem.Diff(mut.Mem, gold.mem, nil)
+	return diff
 }

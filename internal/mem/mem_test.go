@@ -41,8 +41,8 @@ func TestFuncDefinedPerByte(t *testing.T) {
 	if m.Defined(0x2003, 4) || m.Defined(0x2006, 4) {
 		t.Error("accesses straddling an undefined byte must report undefined")
 	}
-	if !m.Mapped(0x2000, 1) {
-		t.Error("the page holding a written byte is mapped (page-granular view)")
+	if got := m.PageAddrs(); len(got) != 1 || got[0] != 0x2000 {
+		t.Errorf("PageAddrs = %#x, want the one page holding the store (page-granular view)", got)
 	}
 	// A write straddling a page boundary defines bytes on both pages.
 	m.Store(0x2fff, 2, 0x1234)

@@ -206,9 +206,9 @@ func (l *Layout) FinalBases(nFrames int) (y, cb, cr uint32) {
 // region from the second frame on.
 func SnapshotRef(m *mem.Func, l *Layout) *ExpectedFrames {
 	return &ExpectedFrames{
-		Y:  readPlane(m, l.Ref),
-		Cb: readPlane(m, l.RefCb),
-		Cr: readPlane(m, l.RefCr),
+		Y:  m.ReadBytes(l.Ref.Base, l.Ref.Bytes()),
+		Cb: m.ReadBytes(l.RefCb.Base, l.RefCb.Bytes()),
+		Cr: m.ReadBytes(l.RefCr.Base, l.RefCr.Bytes()),
 	}
 }
 
@@ -226,14 +226,6 @@ func Expected(init *ExpectedFrames, m *mem.Func, l *Layout, nFrames int) *Expect
 		ref = out
 	}
 	return out
-}
-
-func readPlane(m *mem.Func, f video.Frame) []byte {
-	b := make([]byte, f.Bytes())
-	for i := range b {
-		b[i] = m.ByteAt(f.Base + uint32(i))
-	}
-	return b
 }
 
 func decodeOne(m *mem.Func, l *Layout, ref *ExpectedFrames) *ExpectedFrames {

@@ -112,6 +112,16 @@ func (m *Mem) ReadBytes(addr uint32, n int) []byte {
 	return b
 }
 
+// PageBytes returns the data of the page holding addr, or nil if that
+// page was never written (image diffing). The slice aliases the image:
+// callers must not modify it.
+func (m *Mem) PageBytes(addr uint32) []byte {
+	if p := m.page(addr, false); p != nil {
+		return p.data[:]
+	}
+	return nil
+}
+
 // PageAddrs returns the base addresses of all populated pages in
 // ascending order (image diffing).
 func (m *Mem) PageAddrs() []uint32 {

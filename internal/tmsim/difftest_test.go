@@ -66,7 +66,7 @@ func runBoth(t *testing.T, p *prog.Program, target config.Target,
 				p.Name, target.Name, v, got, want)
 		}
 	}
-	if addr, diff := mem.Diff(refMem, simMem); diff {
+	if addr, diff := mem.Diff(refMem, simMem, nil); diff {
 		t.Errorf("%s on %s: memory diverges at %#x: ref %#x sim %#x",
 			p.Name, target.Name, addr, refMem.ByteAt(addr), simMem.ByteAt(addr))
 	}

@@ -168,7 +168,7 @@ func TestObservabilityIsPassive(t *testing.T) {
 	if plain.RegSnapshot() != obs.RegSnapshot() {
 		t.Error("register file differs between the unarmed and armed runs")
 	}
-	if addr, diff := mem.Diff(plainMem, obsMem); diff {
+	if addr, diff := mem.Diff(plainMem, obsMem, nil); diff {
 		t.Errorf("memory differs at %#x", addr)
 	}
 	pb, ob := plain.BlockCacheStats(), obs.BlockCacheStats()

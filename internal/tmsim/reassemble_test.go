@@ -83,7 +83,7 @@ func TestRunFromBinary(t *testing.T) {
 				t.Fatalf("%s from binary: %v", name, err)
 			}
 		}
-		if addr, diff := mem.Diff(mem1, mem2); diff {
+		if addr, diff := mem.Diff(mem1, mem2, nil); diff {
 			t.Fatalf("%s: binary run diverges from direct run at %#x", name, addr)
 		}
 		if m1.Stats.Instrs != m2.Stats.Instrs || m1.Stats.ExecOps != m2.Stats.ExecOps {

@@ -81,9 +81,11 @@ func FillTestPattern(m *mem.Func, f Frame, seed uint32) {
 // Checksum folds a frame into a 32-bit FNV-style digest.
 func Checksum(m *mem.Func, f Frame) uint32 {
 	h := uint32(2166136261)
+	row := make([]byte, f.W)
 	for y := 0; y < f.H; y++ {
-		for x := 0; x < f.W; x++ {
-			h = (h ^ uint32(m.ByteAt(f.Addr(x, y)))) * 16777619
+		m.ReadRange(f.Base+uint32(y*f.Stride), row)
+		for _, px := range row {
+			h = (h ^ uint32(px)) * 16777619
 		}
 	}
 	return h

@@ -106,11 +106,11 @@ func TestMemFuncBasics(t *testing.T) {
 	}
 	a, b := mem.NewFunc(), mem.NewFunc()
 	a.SetByte(0x5000, 9)
-	if addr, diff := mem.Diff(a, b); !diff || addr != 0x5000 {
+	if addr, diff := mem.Diff(a, b, nil); !diff || addr != 0x5000 {
 		t.Errorf("Diff = %#x,%v", addr, diff)
 	}
 	b.SetByte(0x5000, 9)
-	if _, diff := mem.Diff(a, b); diff {
+	if _, diff := mem.Diff(a, b, nil); diff {
 		t.Error("equal images reported different")
 	}
 }

@@ -94,8 +94,8 @@ func BlockWalk(p Params, pf bool) *Spec {
 		},
 		Check: func(m *mem.Func) error {
 			var want uint32
-			for i := 0; i < w*h; i++ {
-				want += uint32(m.ByteAt(walkImgBase + uint32(i)))
+			for _, px := range m.ReadBytes(walkImgBase, w*h) {
+				want += uint32(px)
 			}
 			if got := uint32(m.Load(walkResBase, 4)); got != want {
 				return fmt.Errorf("blockwalk: sum = %d, want %d", got, want)

@@ -147,12 +147,12 @@ func Filter(p Params) *Spec {
 			region("out", grayOut, p.ImageW*p.ImageH),
 		},
 		Check: func(m *mem.Func) error {
-			at := func(x, y int) int32 { return int32(m.ByteAt(grayIn + uint32(y*p.ImageW+x))) }
+			in, out := m.ReadBytes(grayIn, p.ImageW*p.ImageH), m.ReadBytes(grayOut, p.ImageW*p.ImageH)
+			at := func(x, y int) int32 { return int32(in[y*p.ImageW+x]) }
 			for y := 1; y < p.ImageH-1; y++ {
 				for x := 4; x < p.ImageW-8; x++ {
 					want := clip8(5*at(x, y) - at(x, y-1) - at(x, y+1) - at(x-1, y) - at(x+1, y))
-					got := m.ByteAt(grayOut + uint32(y*p.ImageW+x))
-					if got != want {
+					if got := out[y*p.ImageW+x]; got != want {
 						return fmt.Errorf("filter: pixel (%d,%d) = %d, want %d", x, y, got, want)
 					}
 				}

@@ -263,8 +263,12 @@ func interpWord(b *prog.Builder, dst, a, bword, k16f, kf, rnd8, mask,
 func meCheck(mp MEParams, blocksX, blocksY int) func(*mem.Func) error {
 	return func(m *mem.Func) error {
 		stride := mp.W
-		curAt := func(x, y int) int32 { return int32(m.ByteAt(meCurBase + uint32(y*stride+x))) }
-		refAt := func(x, y int) int32 { return int32(m.ByteAt(meRefBase + uint32(y*stride+x))) }
+		// The frames as the spec's regions declare them: ref carries
+		// ld_frac8's 8-byte tail pad.
+		cur := m.ReadBytes(meCurBase, mp.W*mp.H)
+		ref := m.ReadBytes(meRefBase, mp.W*mp.H+8)
+		curAt := func(x, y int) int32 { return int32(cur[y*stride+x]) }
+		refAt := func(x, y int) int32 { return int32(ref[y*stride+x]) }
 		blk := 0
 		for by := 0; by < blocksY; by++ {
 			for bx := 0; bx < blocksX; bx++ {

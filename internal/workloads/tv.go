@@ -81,10 +81,9 @@ func FilmDet(p Params) *Spec {
 		},
 		Check: func(m *mem.Func) error {
 			var sad, exceed uint32
-			for i := 0; i < n; i++ {
-				a := int32(m.ByteAt(fieldABase + uint32(i)))
-				bb := int32(m.ByteAt(fieldBBase + uint32(i)))
-				d := a - bb
+			fa, fb := m.ReadBytes(fieldABase, n), m.ReadBytes(fieldBBase, n)
+			for i := range fa {
+				d := int32(fa[i]) - int32(fb[i])
 				if d < 0 {
 					d = -d
 				}
@@ -154,10 +153,10 @@ func MajoritySel(p Params) *Spec {
 			return nil
 		},
 		Check: func(m *mem.Func) error {
-			for i := 0; i < n; i++ {
-				a := m.ByteAt(fieldABase + uint32(i))
-				bb := m.ByteAt(fieldBBase + uint32(i))
-				c := m.ByteAt(fieldCBase + uint32(i))
+			fa, fb, fc := m.ReadBytes(fieldABase, n), m.ReadBytes(fieldBBase, n), m.ReadBytes(fieldCBase, n)
+			out := m.ReadBytes(deintBase, n)
+			for i, got := range out {
+				a, bb, c := fa[i], fb[i], fc[i]
 				mn, mx := a, a
 				if bb < mn {
 					mn = bb
@@ -171,7 +170,7 @@ func MajoritySel(p Params) *Spec {
 				if c > mx {
 					med = mx
 				}
-				if got := m.ByteAt(deintBase + uint32(i)); got != med {
+				if got != med {
 					return fmt.Errorf("majority_sel: px %d = %d, want %d (a=%d b=%d c=%d)", i, got, med, a, bb, c)
 				}
 			}

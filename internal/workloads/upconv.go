@@ -139,16 +139,17 @@ func Upconv(p Params, pf bool) *Spec {
 			return nil
 		},
 		Check: func(m *mem.Func) error {
+			prev, next, out := m.ReadBytes(upPrevBase, w*h), m.ReadBytes(upNextBase, w*h), m.ReadBytes(upOutBase, w*h)
 			for i, mv := range clamped {
 				bx, by := i%blocksX, i/blocksX
 				dx, dy := (mv[0]>>1)&^3, mv[1]>>1
 				for r := 0; r < 8; r++ {
 					for c := 0; c < 8; c++ {
 						px, py := bx*8+c, by*8+r
-						pv := uint32(m.ByteAt(upPrevBase + uint32((py+dy)*w+px+dx)))
-						nv := uint32(m.ByteAt(upNextBase + uint32((py-dy)*w+px-dx)))
+						pv := uint32(prev[(py+dy)*w+px+dx])
+						nv := uint32(next[(py-dy)*w+px-dx])
 						want := byte((pv + nv + 1) / 2)
-						if got := m.ByteAt(upOutBase + uint32(py*w+px)); got != want {
+						if got := out[py*w+px]; got != want {
 							return fmt.Errorf("upconv: block %d px (%d,%d) = %d, want %d", i, c, r, got, want)
 						}
 					}

@@ -38,7 +38,7 @@ func mustTable5(t *testing.T, p workloads.Params) []*workloads.Spec {
 
 // runOn compiles and executes a workload on the machine model for a
 // target and validates its output with the workload's own check.
-func runOn(t *testing.T, w *workloads.Spec, tgt config.Target) *tmsim.Machine {
+func runOn(t testing.TB, w *workloads.Spec, tgt config.Target) *tmsim.Machine {
 	t.Helper()
 	code, err := sched.Schedule(w.Prog, tgt)
 	if err != nil {
@@ -364,4 +364,19 @@ func TestUpconv(t *testing.T) {
 	}
 	// The portable variant must also compile for the TM3260.
 	runOn(t, workloads.Upconv(p, false), config.ConfigA())
+}
+
+// BenchmarkCheck times me_frac8's output check on a 352x240 frame pair
+// the kernel has already run over (config D, as suite-full runs it):
+// the bulk frame reads every frame checker goes through.
+func BenchmarkCheck(b *testing.B) {
+	w := workloads.MotionEst(workloads.MEParams{W: 352, H: 240, UseFrac8: true})
+	image := runOn(b, w, config.ConfigD()).Mem
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := w.Check(image); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
