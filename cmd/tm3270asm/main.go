@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	tm3270asm [-config A|B|C|D] [-verify] [-stats] <workload>
+//	tm3270asm [-config A|B|C|D|tm3260|tm3270] [-verify] [-stats] <workload>
 package main
 
 import (
@@ -19,13 +19,13 @@ import (
 	"tm3270/internal/encode"
 	"tm3270/internal/prog"
 	"tm3270/internal/regalloc"
+	"tm3270/internal/runner"
 	"tm3270/internal/sched"
-	"tm3270/internal/tmsim"
 	"tm3270/internal/workloads"
 )
 
 func main() {
-	cfg := flag.String("config", "D", "target: A, B, C or D")
+	cfg := flag.String("config", "D", "target: A, B, C, D, tm3260 or tm3270")
 	verify := flag.Bool("verify", false, "decode the binary back and verify the round trip")
 	statsOnly := flag.Bool("stats", false, "print only code-size statistics")
 	flag.Parse()
@@ -34,16 +34,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	var tgt config.Target
-	switch strings.ToUpper(*cfg) {
-	case "A":
-		tgt = config.ConfigA()
-	case "B":
-		tgt = config.ConfigB()
-	case "C":
-		tgt = config.ConfigC()
-	default:
-		tgt = config.ConfigD()
+	tgt, err := config.ByName(*cfg)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "unknown config %q\n", *cfg)
+		os.Exit(2)
 	}
 
 	w, err := workloads.ByName(flag.Arg(0), workloads.Small())
@@ -51,21 +45,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	code, err := sched.Schedule(w.Prog, tgt)
+	art, err := runner.CompileWorkload(w, tgt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	rm, err := regalloc.Allocate(w.Prog)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	enc, err := encode.Encode(code, rm, tmsim.CodeBase)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	code, rm, enc := art.Code, art.RegMap, art.Enc
 
 	labelAt := map[int]string{}
 	for l, i := range code.Labels {

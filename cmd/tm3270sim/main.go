@@ -195,7 +195,6 @@ func main() {
 	}
 
 	if inj != nil {
-		inj.Disarm(res.Machine)
 		for _, e := range inj.Events {
 			fmt.Fprintf(out, "injected    %s\n", e.Info)
 		}
@@ -230,8 +229,7 @@ func main() {
 	fmt.Fprintf(out, "workload    %s (%s)\n", w.Name, w.Description)
 	fmt.Fprintf(out, "target      %s @ %d MHz\n", tgt.Name, tgt.FreqMHz)
 	bc := m.BlockCacheStats()
-	fmt.Fprintf(out, "blockcache  %d blocks translated, %d hits, %d invalidations\n",
-		bc.Translated, bc.Hits, bc.Invalidations)
+	fmt.Fprintf(out, "blockcache  %d blocks translated, %d hits\n", bc.Translated, bc.Hits)
 	fmt.Fprintf(out, "code        %d VLIW instructions, %d bytes (%.1f B/instr), %d source ops\n",
 		art.SchedInstrs(), art.CodeBytes(),
 		float64(art.CodeBytes())/float64(art.SchedInstrs()), art.Code.SrcOps)

@@ -17,11 +17,13 @@
 // observability hooks want stays in the scheduled code, which the loop
 // reads by instruction index only when a hook is armed.
 //
-// Blocks are immutable after translation. The cache is instance-scoped
-// (one per machine run) and supports invalidation by encoded byte
-// range, which the engine drives from stores that hit the code region
-// (self-modifying code): the affected translations are dropped and
-// retranslated on next entry.
+// Blocks are immutable after translation, and the cache is a pure memo
+// of Translate over one compile artifact: the engine executes the
+// artifact, not bytes fetched from the memory image ("source
+// compatible, not binary compatible"; the instruction cache models
+// fetch timing only), so no store can change what a block means and
+// nothing is ever invalidated. The cache is instance-scoped (one per
+// machine run).
 package blockcache
 
 import (
@@ -73,10 +75,6 @@ const MaxLatency = 63
 type Block struct {
 	Entry int // first instruction index covered
 	N     int // instructions covered
-
-	// ByteLo/ByteHi bound the encoded bytes of the block, for
-	// store-range invalidation: [ByteLo, ByteHi).
-	ByteLo, ByteHi uint32
 
 	// Per-instruction fetch metadata for the instruction-cache model.
 	FetchAddr []uint32
@@ -131,8 +129,6 @@ type Stats struct {
 	Translated int64
 	// Hits counts block executions served from the cache.
 	Hits int64
-	// Invalidations counts cached blocks dropped by code-range stores.
-	Invalidations int64
 }
 
 // Cache is the per-machine translation cache: translated blocks keyed
@@ -172,36 +168,6 @@ func (c *Cache) Block(idx int) (*Block, error) {
 	return b, nil
 }
 
-// InvalidateRange drops every cached block whose encoded bytes overlap
-// [lo, hi) and returns the number dropped. The engine calls it when a
-// store writes into the code region (self-modifying code); the blocks
-// retranslate on next entry.
-func (c *Cache) InvalidateRange(lo, hi uint32) int {
-	n := 0
-	for i, b := range c.blocks {
-		if b == nil {
-			continue
-		}
-		if b.ByteLo < hi && lo < b.ByteHi {
-			c.blocks[i] = nil
-			n++
-		}
-	}
-	c.Stats.Invalidations += int64(n)
-	return n
-}
-
-// Cached returns the number of currently cached blocks (tests).
-func (c *Cache) Cached() int {
-	n := 0
-	for _, b := range c.blocks {
-		if b != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // Translate predecodes one straight-line packet region starting at
 // instruction index entry. It fails only on static inconsistencies a
 // scheduled code image cannot legally contain (an operation latency
@@ -211,7 +177,7 @@ func Translate(code *sched.Code, rm *regalloc.Map, enc *encode.Encoded, t *confi
 	if entry < 0 || entry >= len(code.Instrs) {
 		return nil, fmt.Errorf("blockcache: entry %d outside code of %d instructions", entry, len(code.Instrs))
 	}
-	b := &Block{Entry: entry, ByteLo: enc.Addr[entry]}
+	b := &Block{Entry: entry}
 	b.OpFirst = append(b.OpFirst, 0)
 	nops := 0
 	for i := entry; i < len(code.Instrs) && i-entry < MaxBlockInstrs; i++ {
@@ -293,7 +259,6 @@ func Translate(code *sched.Code, rm *regalloc.Map, enc *encode.Encoded, t *confi
 		}
 		b.OpFirst = append(b.OpFirst, int32(nops))
 		b.N++
-		b.ByteHi = enc.Addr[i] + uint32(enc.Size[i])
 		if hasJump {
 			// The block ends at the jump-carrying instruction; its delay
 			// window spans into the following blocks, tracked by the

@@ -120,12 +120,6 @@ func TestTranslateBlockShape(t *testing.T) {
 			t.Errorf("instr %d ChunkLo %#x > ChunkHi %#x", gi, b.ChunkLo[i], b.ChunkHi[i])
 		}
 	}
-	if b.ByteLo != enc.Addr[b.Entry] {
-		t.Errorf("ByteLo %#x, want %#x", b.ByteLo, enc.Addr[b.Entry])
-	}
-	if want := enc.Addr[last] + uint32(enc.Size[last]); b.ByteHi != want {
-		t.Errorf("ByteHi %#x, want %#x", b.ByteHi, want)
-	}
 
 	// The jump micro-op must be flagged and its backward target
 	// resolved to an instruction index inside the code.
@@ -179,7 +173,7 @@ func TestTranslateRejectsLatencyBeyondHorizon(t *testing.T) {
 	}
 }
 
-func TestCacheHitMissInvalidate(t *testing.T) {
+func TestCacheHitMiss(t *testing.T) {
 	tgt := config.TM3270()
 	code, rm, enc := translated(t, loopProgram(4), tgt)
 	c := blockcache.New(code, rm, enc, &tgt)
@@ -197,26 +191,48 @@ func TestCacheHitMissInvalidate(t *testing.T) {
 	if c.Stats.Hits != 1 {
 		t.Errorf("hits = %d, want 1", c.Stats.Hits)
 	}
+}
 
-	// A store range overlapping the block's bytes drops it; a disjoint
-	// range (past code end) drops nothing.
-	if n := c.InvalidateRange(b0.ByteHi+64, b0.ByteHi+68); n != 0 {
-		t.Errorf("disjoint invalidation dropped %d blocks", n)
-	}
-	if n := c.InvalidateRange(b0.ByteLo, b0.ByteLo+1); n != 1 {
-		t.Errorf("overlapping invalidation dropped %d blocks, want 1", n)
-	}
-	if c.Stats.Invalidations != 1 {
-		t.Errorf("invalidations = %d, want 1", c.Stats.Invalidations)
-	}
-	if c.Cached() != 0 {
-		t.Errorf("%d blocks still cached after invalidation", c.Cached())
-	}
-	if _, err := c.Block(0); err != nil {
-		t.Fatalf("retranslation after invalidation: %v", err)
-	}
-	if c.Stats.Translated != 2 {
-		t.Errorf("translations = %d, want 2 (retranslated after drop)", c.Stats.Translated)
+// TestTranslateMemoryOps: every memory micro-op carries its class
+// flags, its effective-address form and its access width.
+func TestTranslateMemoryOps(t *testing.T) {
+	const mem = blockcache.FlagMem
+	for _, c := range []struct {
+		name  string
+		emit  func(b *prog.Builder, d, x, y prog.VReg)
+		flags blockcache.Flags
+		bytes uint16
+	}{
+		{"ld32d", func(b *prog.Builder, d, x, _ prog.VReg) { b.Ld32D(d, x, 8) },
+			mem | blockcache.FlagLoad, 4},
+		{"ld32r", func(b *prog.Builder, d, x, y prog.VReg) { b.Ld32R(d, x, y) },
+			mem | blockcache.FlagLoad | blockcache.FlagAddrRR, 4},
+		{"ld_frac8", func(b *prog.Builder, d, x, y prog.VReg) { b.LdFrac8(d, x, y) },
+			mem | blockcache.FlagLoad | blockcache.FlagAddrBase, 5},
+		{"st32d", func(b *prog.Builder, _, x, y prog.VReg) { b.St32D(x, 4, y) },
+			mem | blockcache.FlagStore, 4},
+		{"allocd", func(b *prog.Builder, _, x, _ prog.VReg) { b.AllocD(x, 0) },
+			mem | blockcache.FlagStore | blockcache.FlagAlloc, 0},
+	} {
+		b := prog.NewBuilder("bc_" + c.name)
+		d, x, y := b.Reg(), b.Reg(), b.Reg()
+		c.emit(b, d, x, y)
+		tgt := config.TM3270()
+		code, rm, enc := translated(t, b.MustProgram(), tgt)
+		blk, err := blockcache.Translate(code, rm, enc, &tgt, 0)
+		if err != nil {
+			t.Fatalf("%s: translate: %v", c.name, err)
+		}
+		if len(blk.Ops) != 1 || blk.Info[0].Name != c.name {
+			t.Fatalf("%s: block holds %d ops, want the one %s", c.name, len(blk.Ops), c.name)
+		}
+		op := blk.Ops[0]
+		if op.Flags != c.flags {
+			t.Errorf("%s: flags %#x, want %#x", c.name, op.Flags, c.flags)
+		}
+		if op.MemBytes != c.bytes {
+			t.Errorf("%s: MemBytes %d, want %d", c.name, op.MemBytes, c.bytes)
+		}
 	}
 }
 
@@ -239,7 +255,7 @@ func TestCacheCoversWholeProgram(t *testing.T) {
 			t.Errorf("block at %d covers %d instrs, past code end %d", i, b.N, len(code.Instrs))
 		}
 	}
-	if c.Cached() != len(code.Instrs) {
-		t.Errorf("cached %d blocks for %d entries", c.Cached(), len(code.Instrs))
+	if c.Stats.Translated != int64(len(code.Instrs)) {
+		t.Errorf("translated %d blocks for %d entries", c.Stats.Translated, len(code.Instrs))
 	}
 }

@@ -33,10 +33,6 @@ import (
 type Options struct {
 	// MaxInstrs bounds both models (0 = the models' default watchdog).
 	MaxInstrs int64
-	// NoLockstep skips the lockstep rerun after a final-state mismatch
-	// (the campaign uses it to keep bulk sweeps cheap; divergences are
-	// re-examined individually).
-	NoLockstep bool
 	// StrictMem arms strict memory in both models: the pipeline model's
 	// per-byte write-validity trap (TrapUnmappedLoad) and the reference
 	// model's TrapUndefinedRead, which canonTrap maps onto the same
@@ -202,10 +198,8 @@ func (r *run) execute(opts Options) (*Result, error) {
 
 	if div := diffFinal(sim, simErr, ref, refTrap, &r.t); div != nil {
 		res.Div = div
-		if !opts.NoLockstep {
-			if ld := r.lockstep(dec, opts); ld != nil {
-				res.Div = ld
-			}
+		if ld := r.lockstep(dec, opts); ld != nil {
+			res.Div = ld
 		}
 	}
 	return res, nil

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"tm3270/internal/config"
+	"tm3270/internal/encode"
 	"tm3270/internal/experiments"
 	"tm3270/internal/faults"
 	"tm3270/internal/mem"
@@ -42,10 +43,11 @@ func buildMachine(t *testing.T, name string, p workloads.Params, tgt config.Targ
 			t.Fatal(err)
 		}
 	}
-	m, err := tmsim.New(code, rm, image)
+	enc, err := encode.Encode(code, rm, tmsim.CodeBase)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := tmsim.Load(code, rm, enc, image)
 	for v, val := range w.Args {
 		m.SetReg(v, val)
 	}
@@ -69,7 +71,6 @@ func TestSnapshotDeterminism(t *testing.T) {
 		if err := m.RunContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		inj.Disarm(m)
 		return m.Registry().Snapshot()
 	}
 	a, b := run(), run()

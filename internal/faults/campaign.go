@@ -204,7 +204,6 @@ func runOne(ctx context.Context, name string, cfg CampaignConfig, spec Spec, see
 	inj := New(spec, seed)
 	inj.Arm(l.Machine)
 	runErr := l.RunContext(ctx)
-	inj.Disarm(l.Machine)
 
 	rep := &RunReport{Workload: name, Spec: spec, Seed: seed, Injected: len(inj.Events)}
 	if runErr != nil {

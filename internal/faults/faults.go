@@ -2,18 +2,19 @@
 // machine model: single-bit corruption of the memory image and of
 // cache-line fills, dropped and delayed region prefetches, and
 // bus-latency spikes. Injectors plug into the small fault interfaces of
-// mem.Func, mem.BIU and dcache.DCache; a campaign of seeded runs
-// (RunCampaign) then asserts that every injected fault is either
-// detected (a trap or a divergence against the sequential reference),
-// masked, or not injected at all — never a hang, never a panic. Its
-// runs are bounded by the instruction watchdog alone, with no
-// wall-clock limit, so each outcome depends only on (workload, spec,
-// seed); the caller's context only cancels the campaign. The mutant
-// matrix (RunMatrixCampaign) does the same for the encoded program
-// image: seeded single-bit flips, classified by the decoder and the
-// static verifier, and differentially executed under several machine
-// seeds on the campaign engine, configured by the caller's
-// campaign.Config.
+// the machine's load port, mem.BIU and dcache.DCache, which only the
+// running program drives, so a post-run output check injects nothing; a
+// campaign of seeded runs (RunCampaign) then asserts that every
+// injected fault is either detected (a trap or a divergence against the
+// sequential reference), masked, or not injected at all — never a hang,
+// never a panic. Its runs are bounded by the instruction watchdog
+// alone, with no wall-clock limit, so each outcome depends only on
+// (workload, spec, seed); the caller's context only cancels the
+// campaign. The mutant matrix (RunMatrixCampaign) does the same for the
+// encoded program image: seeded single-bit flips, classified by the
+// decoder and the static verifier, and differentially executed under
+// several machine seeds on the campaign engine, configured by the
+// caller's campaign.Config.
 package faults
 
 import (
@@ -108,7 +109,7 @@ type Event struct {
 }
 
 // Injector is one armed fault source. It implements the fault hook
-// interfaces of mem.Func, mem.BIU and dcache.DCache; Arm plugs it into
+// interfaces of tmsim.Machine, mem.BIU and dcache.DCache; Arm plugs it into
 // the right one for its kind. The same (spec, seed) pair always
 // produces the same injection sequence against the same execution.
 type Injector struct {
@@ -134,25 +135,11 @@ func (in *Injector) Arm(m *tmsim.Machine) {
 	case BitFlip:
 		in.flipImageBit()
 	case LoadFlip:
-		m.Mem.Fault = in
+		m.LoadFault = in
 	case LineFlip, DropPrefetch, DelayPrefetch:
 		m.DC.Fault = in
 	case BusDelay:
 		m.BIU.Fault = in
-	}
-}
-
-// Disarm unplugs the injector so post-run output checks observe the
-// machine's memory without further interference.
-func (in *Injector) Disarm(m *tmsim.Machine) {
-	if m.Mem.Fault == in {
-		m.Mem.Fault = nil
-	}
-	if m.DC.Fault == in {
-		m.DC.Fault = nil
-	}
-	if m.BIU.Fault == in {
-		m.BIU.Fault = nil
 	}
 }
 
@@ -170,7 +157,7 @@ func (in *Injector) flipImageBit() {
 		Info: fmt.Sprintf("image bit flip at %#x bit %d", addr, bit)})
 }
 
-// TapLoad implements mem.LoadFault (LoadFlip): flip one bit of the
+// TapLoad implements tmsim.LoadFault (LoadFlip): flip one bit of the
 // value in flight without touching the stored bytes.
 func (in *Injector) TapLoad(addr uint32, n int, v uint64) uint64 {
 	if in.Spec.Kind != LoadFlip || in.rng.Float64() >= in.Spec.Rate {

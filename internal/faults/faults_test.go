@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"tm3270/internal/config"
 	"tm3270/internal/faults"
+	"tm3270/internal/runner"
 	"tm3270/internal/workloads"
 )
 
@@ -191,5 +193,46 @@ func TestBusDelayIsTimingOnly(t *testing.T) {
 		if isDetected(r.Outcome) {
 			t.Errorf("busdelay seed %d: %s (%s), want never detected", r.Seed, r.Outcome, r.Detail)
 		}
+	}
+}
+
+// TestLoadFlipSparesOutputCheck: a load-fault injector taps the
+// program's loads only. The workload's own output check reads the
+// image after execution has ended, so a full run (execute, then check)
+// must log exactly the events of the same run without a check.
+func TestLoadFlipSparesOutputCheck(t *testing.T) {
+	spec, err := faults.ParseSpec("loadflip:0.001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := func(name string, seed int64, check bool) ([]faults.Event, error) {
+		w, err := workloads.ByName(name, workloads.Small())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !check {
+			w.Check = nil
+		}
+		inj := faults.New(spec, seed)
+		_, runErr := runner.RunContext(context.Background(), w, config.TM3270(),
+			runner.WithMachineSetup(inj.Arm))
+		return inj.Events, runErr
+	}
+	for _, name := range []string{"mpeg2_b", "mp3_synth"} {
+		for seed := int64(1); seed <= 3; seed++ {
+			exec, err := events(name, seed, false)
+			if err != nil {
+				t.Fatalf("%s seed %d without check: %v", name, seed, err)
+			}
+			full, _ := events(name, seed, true)
+			if len(full) != len(exec) {
+				t.Errorf("%s seed %d: %d injector events with the output check, %d without",
+					name, seed, len(full), len(exec))
+			}
+		}
+	}
+	// The reproducer: one flip during execution, and the check passes.
+	if ev, err := events("mp3_synth", 1, true); len(ev) != 1 || err != nil {
+		t.Errorf("mp3_synth seed 1: %d events, err %v; want 1 event and a passing check", len(ev), err)
 	}
 }

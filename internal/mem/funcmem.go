@@ -16,15 +16,6 @@ const (
 	dirBits = 10
 )
 
-// LoadFault observes (and may corrupt) the value returned by every
-// functional load. Fault injectors implement it; a nil Fault field is
-// the fault-free fast path.
-type LoadFault interface {
-	// TapLoad receives the loaded value and returns the value the
-	// processor actually sees.
-	TapLoad(addr uint32, n int, v uint64) uint64
-}
-
 // page is one 4 KB page with a per-byte write-validity bitmap. The
 // TM3270's allocate-on-write-miss data cache tracks validity per byte
 // (Section 2.3); the functional image keeps the same granularity so
@@ -54,9 +45,6 @@ type pageTable [1 << dirBits]*page
 // safe for concurrent use.
 type Func struct {
 	dir [1 << dirBits]*pageTable
-
-	// Fault, when non-nil, taps every Load (fault injection).
-	Fault LoadFault
 }
 
 // NewFunc returns an empty memory image.
@@ -182,9 +170,6 @@ func (m *Func) Load(addr uint32, n int) uint64 {
 		for i := 0; i < n; i++ {
 			v = v<<8 | uint64(m.ByteAt(addr+uint32(i)))
 		}
-	}
-	if m.Fault != nil {
-		v = m.Fault.TapLoad(addr, n, v)
 	}
 	return v
 }

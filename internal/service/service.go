@@ -104,7 +104,7 @@ type counters struct {
 	shedQueue, shedQuota, shedDraining, shedSessions atomic.Int64
 	runsOK, runsTrap, runsTimeout, runsCanceled      atomic.Int64
 	runsCheckFailed, runsPanic                       atomic.Int64
-	bcTranslated, bcHits, bcInvalidations            atomic.Int64
+	bcTranslated, bcHits                             atomic.Int64
 	panics, quarantines                              atomic.Int64
 	sessionsCreated, sessionsDeleted                 atomic.Int64
 }
@@ -188,7 +188,6 @@ func (s *Server) register() {
 	s.reg.Func("service.runs.panic", c.runsPanic.Load)
 	s.reg.Func("service.blockcache.translated", c.bcTranslated.Load)
 	s.reg.Func("service.blockcache.hits", c.bcHits.Load)
-	s.reg.Func("service.blockcache.invalidations", c.bcInvalidations.Load)
 	s.reg.Func("service.shed.queue", c.shedQueue.Load)
 	s.reg.Func("service.shed.quota", c.shedQuota.Load)
 	s.reg.Func("service.shed.draining", c.shedDraining.Load)

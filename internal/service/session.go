@@ -117,9 +117,8 @@ type TrapInfo struct {
 
 // BlockCacheInfo is the translation-cache activity of one run.
 type BlockCacheInfo struct {
-	Translated    int64 `json:"translated"`
-	Hits          int64 `json:"hits"`
-	Invalidations int64 `json:"invalidations"`
+	Translated int64 `json:"translated"`
+	Hits       int64 `json:"hits"`
 }
 
 // RunReply is the response to one run request.
@@ -673,14 +672,9 @@ func (s *Server) execute(sess *Session, req RunRequest, seq int64, ri *requestIn
 		rep.CPI = res.Stats.CPI()
 		rep.OPI = res.Stats.OPI()
 		bc := res.Machine.BlockCacheStats()
-		rep.BlockCache = &BlockCacheInfo{
-			Translated:    bc.Translated,
-			Hits:          bc.Hits,
-			Invalidations: bc.Invalidations,
-		}
+		rep.BlockCache = &BlockCacheInfo{Translated: bc.Translated, Hits: bc.Hits}
 		s.c.bcTranslated.Add(bc.Translated)
 		s.c.bcHits.Add(bc.Hits)
-		s.c.bcInvalidations.Add(bc.Invalidations)
 		res.Machine.AnnotateSpan(eSpan)
 	}
 	eSpan.End()

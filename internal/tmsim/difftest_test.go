@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tm3270/internal/config"
+	"tm3270/internal/encode"
 	"tm3270/internal/isa"
 	"tm3270/internal/mem"
 	"tm3270/internal/prog"
@@ -49,10 +50,11 @@ func runBoth(t *testing.T, p *prog.Program, target config.Target,
 	if memInit != nil {
 		memInit(simMem)
 	}
-	m, err := tmsim.New(code, rm, simMem)
+	enc, err := encode.Encode(code, rm, tmsim.CodeBase)
 	if err != nil {
 		t.Fatalf("machine: %v", err)
 	}
+	m := tmsim.Load(code, rm, enc, simMem)
 	for v, val := range init {
 		m.SetReg(v, val)
 	}
@@ -332,10 +334,11 @@ func TestTraceOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := tmsim.New(code, rm, mem.NewFunc())
+	enc2, err := encode.Encode(code, rm, tmsim.CodeBase)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := tmsim.Load(code, rm, enc2, mem.NewFunc())
 	var buf strings.Builder
 	m.Trace = &buf
 	m.TraceLimit = 10

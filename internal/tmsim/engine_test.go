@@ -88,36 +88,35 @@ func TestCrossBlockDelaySlotRedirect(t *testing.T) {
 	}
 }
 
-// TestSMCInvalidationDropsBlocks: a store landing in the encoded code
-// range must invalidate the overlapping translations — including the
-// block being executed — and the run must retranslate and complete
-// with unchanged results.
-func TestSMCInvalidationDropsBlocks(t *testing.T) {
+// TestCodeStoresKeepTranslations: the loop executes the compile
+// artifact, not the memory image, so a store into the bytes of the
+// block being executed writes memory and nothing else — the run keeps
+// its results and every block is translated once.
+func TestCodeStoresKeepTranslations(t *testing.T) {
 	b := prog.NewBuilder("smc")
 	i, cond, v, base := b.Reg(), b.Reg(), b.Reg(), b.Reg()
 	b.Imm(i, 0)
 	b.Imm(v, 0xdead)
 	b.Label("loop")
-	b.St32D(base, 0, v) // lands at CodeBase: self-modifying
+	b.St32D(base, 0, v) // lands on the loop block's own first bytes
 	b.AddI(i, i, 1)
 	b.NeqI(cond, i, 8)
 	b.JmpT(cond, "loop")
+	var loopAddr uint32
 	m := runPinned(t, b.MustProgram(), config.TM3270(),
-		func(m *tmsim.Machine) { m.SetReg(base, tmsim.CodeBase) },
+		func(m *tmsim.Machine) {
+			loopAddr = m.Enc.Addr[m.Code.Labels["loop"]]
+			m.SetReg(base, loopAddr)
+		},
 		split{cycles: 114, instrs: 65, ops: 34, fetch: 49},
-		map[prog.VReg]uint32{i: 8, v: 0xdead, base: tmsim.CodeBase})
-	bc := m.BlockCacheStats()
-	if bc.Invalidations == 0 {
-		t.Fatal("stores into the code range invalidated nothing")
-	}
-	if bc.Translated < 2 {
-		t.Errorf("%d translations after %d invalidations, dropped blocks never retranslated",
-			bc.Translated, bc.Invalidations)
+		map[prog.VReg]uint32{i: 8, v: 0xdead})
+	if bc := m.BlockCacheStats(); bc.Translated != 3 {
+		t.Errorf("%d translations, want 3 (entry, loop and tail blocks, each once)", bc.Translated)
 	}
 	// The stored word must actually be in memory at the code address
 	// (stores are big-endian: 0x0000dead ends with byte 0xad).
-	if got := m.Mem.ByteAt(tmsim.CodeBase + 3); got != 0xad {
-		t.Errorf("code byte after SMC store = %#x, want 0xad", got)
+	if got := m.Mem.ByteAt(loopAddr + 3); got != 0xad {
+		t.Errorf("code byte after the store = %#x, want 0xad", got)
 	}
 }
 
@@ -143,7 +142,8 @@ func strideProgram() *prog.Program {
 // TestObservabilityIsPassive: arming the instruction trace, the event
 // trace and the profile must not perturb the run — Stats, registers,
 // memory and the translation-cache counters equal the unarmed run's —
-// and the armed run still executes on the block cache.
+// and the armed run still executes on the block cache. A short text
+// trace (TraceLimit) leaves the event trace whole.
 func TestObservabilityIsPassive(t *testing.T) {
 	run := func(armed bool) (*tmsim.Machine, *mem.Func, string) {
 		image := mem.NewFunc()
@@ -151,6 +151,7 @@ func TestObservabilityIsPassive(t *testing.T) {
 		var sb strings.Builder
 		if armed {
 			m.Trace = &sb
+			m.TraceLimit = 5
 			m.SetEventTrace(telemetry.NewTrace(0))
 			m.EnableProfile()
 		}
@@ -189,8 +190,8 @@ func TestObservabilityIsPassive(t *testing.T) {
 	if got := obs.Profile.Total(telemetry.CauseDataMiss); got != obs.Stats.DataMissStalls {
 		t.Errorf("profile data-miss cycles %d, run stalled %d", got, obs.Stats.DataMissStalls)
 	}
-	if lines := strings.Count(text, "\n"); lines != 200 {
-		t.Errorf("trace has %d lines, want the default limit of 200", lines)
+	if lines := strings.Count(text, "\n"); lines != 5 {
+		t.Errorf("trace has %d lines, want TraceLimit = 5", lines)
 	}
 	var issues, redirects int
 	for _, e := range obs.Events.Events() {

@@ -110,6 +110,11 @@ func (p *fastRing) drain(issue int64, regs *[isa.NumRegs]uint32) {
 // pinned by the execution golden (internal/runner TestExecGolden) and
 // checked against the reference model by the differential cosim gate.
 //
+// The loop executes the compile artifact, never bytes read back from
+// the memory image, so a store into the code's address range changes
+// memory only: the block cache is a pure memo of the artifact and is
+// never invalidated.
+//
 // The observability hooks (Trace, Events, Profile) are served out of
 // line behind one predictable branch on obs, so an unarmed run pays a
 // single flag test per hook site. Armed, they read the scheduled
@@ -122,20 +127,9 @@ func (m *Machine) runFast(ctx context.Context) error {
 	if maxInstrs == 0 {
 		maxInstrs = 2_000_000_000
 	}
-	bus := busMem{f: m.Mem, pf: m.PF, strict: m.StrictMem}
+	bus := busMem{f: m.Mem, pf: m.PF, strict: m.StrictMem, fault: m.LoadFault}
 	delay := int64(m.Target.JumpDelaySlots)
 	regs := m.regs.Raw()
-
-	// The encoded code occupies [codeLo, codeHi); stores landing there
-	// are self-modifying and invalidate overlapping translations. (Code
-	// is not re-decoded from memory, so a dropped block retranslates to
-	// the same micro-ops — the invalidation is a cache-management event
-	// with no architectural effect.)
-	var codeLo, codeHi uint32
-	if len(m.Enc.Addr) > 0 {
-		codeLo = m.Enc.Addr[0]
-		codeHi = codeLo + uint32(m.Enc.TotalBytes())
-	}
 
 	var (
 		cycle         int64
@@ -280,9 +274,6 @@ func (m *Machine) runFast(ctx context.Context) error {
 							}
 							cycle += st
 						}
-						if f&blockcache.FlagStore != 0 && addr < codeHi && addr+uint32(size) > codeLo {
-							m.bc.InvalidateRange(addr, addr+uint32(size))
-						}
 					}
 				}
 
@@ -361,13 +352,18 @@ func (m *Machine) observeFetchStall(cycle int64, idx int, st int64, redirected b
 	}
 }
 
+// issueEventLimit is the number of instructions, from the start of a
+// run, whose per-slot issue events reach the structured event trace;
+// stall and memory-system events continue for the whole run.
+const issueEventLimit = 10_000
+
 // observeIssue serves the armed hooks for the instruction at idx as it
 // issues, before any of its operations executes (so its per-slot issue
 // events precede the data-cache events it causes): the execute cycle
 // of the profile, the Trace line for the first TraceLimit instructions
 // (default 200), and one issue event per primary slot for the first
-// TraceLimit instructions (default 10000). The event's exec flag is the
-// guard read from pre-instruction register state.
+// issueEventLimit instructions. The event's exec flag is the guard
+// read from pre-instruction register state.
 func (m *Machine) observeIssue(cycle, issue int64, idx int) {
 	m.Profile.Add(idx, telemetry.CauseExecute, 1)
 	in := &m.Code.Instrs[idx]
@@ -380,11 +376,7 @@ func (m *Machine) observeIssue(cycle, issue int64, idx int) {
 			m.trace(cycle, issue, idx, in)
 		}
 	}
-	issueEvents := int64(10_000)
-	if m.TraceLimit > 0 {
-		issueEvents = m.TraceLimit
-	}
-	if m.Events == nil || issue >= issueEvents {
+	if m.Events == nil || issue >= issueEventLimit {
 		return
 	}
 	for s := 0; s < 5; s++ {

@@ -41,10 +41,11 @@ func TestRunFromBinary(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		m1, err := tmsim.New(code, rm, mem1)
+		enc, err := encode.Encode(code, rm, tmsim.CodeBase)
 		if err != nil {
 			t.Fatal(err)
 		}
+		m1 := tmsim.Load(code, rm, enc, mem1)
 		for v, val := range w.Args {
 			m1.SetReg(v, val)
 		}
@@ -64,10 +65,11 @@ func TestRunFromBinary(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		m2, err := tmsim.New(code2, rm2, mem2)
+		enc2, err := encode.Encode(code2, rm2, tmsim.CodeBase)
 		if err != nil {
 			t.Fatalf("%s machine from binary: %v", name, err)
 		}
+		m2 := tmsim.Load(code2, rm2, enc2, mem2)
 		// Arguments land in the same physical registers the allocator
 		// chose for the original run; the reassembled code's virtual
 		// registers are those physical numbers.

@@ -33,7 +33,6 @@ func (m *Machine) Registry() *telemetry.Registry {
 	// until a run starts).
 	r.Func("sim.blockcache.translated", func() int64 { return m.BlockCacheStats().Translated })
 	r.Func("sim.blockcache.hits", func() int64 { return m.BlockCacheStats().Hits })
-	r.Func("sim.blockcache.invalidations", func() int64 { return m.BlockCacheStats().Invalidations })
 
 	// Disjoint stall causes (see StallCounterNames): stall.fetch is the
 	// sequential fetch stall with the jump penalty carved out.

@@ -108,8 +108,11 @@ type Machine struct {
 	// two models to identical trap behaviour).
 	StrictMem bool
 
-	// RecorderDepth sets the flight-recorder length (0 = default).
-	RecorderDepth int
+	// LoadFault, when non-nil, taps the value of every load the
+	// running program makes from the memory image (fault injection).
+	// Reads of the image outside a run, such as an output check, never
+	// pass through it.
+	LoadFault LoadFault
 
 	// InstrHook, when non-nil, is called at every instruction boundary
 	// after in-flight register writes due at that boundary have
@@ -126,8 +129,8 @@ type Machine struct {
 
 	// Events, when non-nil, receives the structured event trace (set it
 	// via SetEventTrace so the cache and bus models emit too). Per-slot
-	// issue events stop after TraceLimit instructions (default 10000
-	// here — stall and memory-system events continue for the whole run).
+	// issue events stop after the first 10,000 instructions; TraceLimit
+	// bounds the text trace only.
 	Events *telemetry.Trace
 
 	// Profile, when non-nil, attributes every cycle to its instruction
@@ -140,17 +143,6 @@ type Machine struct {
 	curOp string // mnemonic of the memory op in flight (trap context)
 
 	Stats Stats
-}
-
-// New schedules nothing itself: it takes scheduled code, allocates an
-// encoding at CodeBase and builds the memory system of the code's
-// target around the given memory image.
-func New(code *sched.Code, rm *regalloc.Map, image *mem.Func) (*Machine, error) {
-	enc, err := encode.Encode(code, rm, CodeBase)
-	if err != nil {
-		return nil, err
-	}
-	return Load(code, rm, enc, image), nil
 }
 
 // Load builds a machine around an already-encoded image (a compile
@@ -192,6 +184,14 @@ func (m *Machine) RegSnapshot() [isa.NumRegs]uint32 { return m.regs.Snapshot() }
 // artifact's register allocation.
 func (m *Machine) SetPhysReg(r isa.Reg, v uint32) { m.regs.Write(r, v) }
 
+// LoadFault observes (and may corrupt) the value of a program load.
+// Fault injectors implement it.
+type LoadFault interface {
+	// TapLoad receives the loaded value and returns the value the
+	// processor actually sees.
+	TapLoad(addr uint32, n int, v uint64) uint64
+}
+
 // busMem routes operation-level memory accesses either to the
 // memory-mapped prefetch configuration registers or to the memory image.
 // Malformed accesses raise memory traps (as panics converted to
@@ -201,6 +201,7 @@ type busMem struct {
 	f      *mem.Func
 	pf     *prefetch.Unit
 	strict bool
+	fault  LoadFault
 }
 
 // nullPageEnd bounds the reserved null page: strict mode treats any
@@ -239,7 +240,11 @@ func (b busMem) Load(addr uint32, n int) uint64 {
 		panic(&memTrap{kind: TrapUnmappedLoad, addr: addr,
 			reason: fmt.Sprintf("%d-byte load touches never-written bytes", n)})
 	}
-	return b.f.Load(addr, n)
+	v := b.f.Load(addr, n)
+	if b.fault != nil {
+		v = b.fault.TapLoad(addr, n, v)
+	}
+	return v
 }
 
 func (b busMem) Store(addr uint32, n int, v uint64) {
@@ -265,7 +270,7 @@ func (b busMem) Store(addr uint32, n int, v uint64) {
 // ctx.Err(), so callers can errors.Is against context.Canceled or
 // DeadlineExceeded.
 func (m *Machine) RunContext(ctx context.Context) (err error) {
-	m.rec = newRecorder(m.RecorderDepth)
+	m.rec = newRecorder()
 	defer func() {
 		r := recover()
 		if r == nil {

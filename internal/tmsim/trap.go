@@ -169,15 +169,11 @@ type recEntry struct {
 	idx   int
 }
 
-// DefaultRecorderDepth is the flight-recorder length used when the
-// machine does not specify one.
+// DefaultRecorderDepth is the flight-recorder length.
 const DefaultRecorderDepth = 32
 
-func newRecorder(depth int) *recorder {
-	if depth <= 0 {
-		depth = DefaultRecorderDepth
-	}
-	return &recorder{buf: make([]recEntry, depth)}
+func newRecorder() *recorder {
+	return &recorder{buf: make([]recEntry, DefaultRecorderDepth)}
 }
 
 func (r *recorder) record(cycle, issue int64, idx int) {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"tm3270/internal/config"
+	"tm3270/internal/encode"
 	"tm3270/internal/mem"
 	"tm3270/internal/prefetch"
 	"tm3270/internal/prog"
@@ -30,10 +31,11 @@ func buildMachine(t *testing.T, p *prog.Program, tgt config.Target, image *mem.F
 	if image == nil {
 		image = mem.NewFunc()
 	}
-	m, err := tmsim.New(code, rm, image)
+	enc, err := encode.Encode(code, rm, tmsim.CodeBase)
 	if err != nil {
 		t.Fatalf("machine: %v", err)
 	}
+	m := tmsim.Load(code, rm, enc, image)
 	return m
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tm3270/internal/config"
+	"tm3270/internal/encode"
 	"tm3270/internal/mem"
 	"tm3270/internal/prog"
 	"tm3270/internal/regalloc"
@@ -54,10 +55,11 @@ func runOn(t testing.TB, w *workloads.Spec, tgt config.Target) *tmsim.Machine {
 			t.Fatalf("%s: init: %v", w.Name, err)
 		}
 	}
-	m, err := tmsim.New(code, rm, image)
+	enc, err := encode.Encode(code, rm, tmsim.CodeBase)
 	if err != nil {
 		t.Fatalf("%s: machine: %v", w.Name, err)
 	}
+	m := tmsim.Load(code, rm, enc, image)
 	for v, val := range w.Args {
 		m.SetReg(v, val)
 	}
