@@ -16,8 +16,8 @@ GO ?= go
 # kill/resume smoke (shard a cosim campaign, SIGKILL one shard mid-run,
 # resume, and byte-compare the merged aggregate against an unsharded
 # run), and one iteration of the scheduler and static-verifier
-# allocation benchmarks and of the frame-check benchmark so they cannot
-# rot.
+# allocation benchmarks, of the frame-check benchmark and of the cold
+# load/translate/encode/decode benchmarks so they cannot rot.
 check: lint race cover cosim bench-json bench-par serve-smoke campaign-smoke bench-smoke
 
 build:
@@ -57,12 +57,15 @@ bench:
 
 # bench-smoke: one iteration each of the scheduler and static-verifier
 # benchmarks (BenchmarkSchedule, BenchmarkVerify, BenchmarkWCET:
-# mpeg2_super on config D) and of the output-check benchmark
+# mpeg2_super on config D), of the output-check benchmark
 # (BenchmarkCheck: me_frac8's check of a 352x240 frame pair through
-# the memory image's bulk reads), allocations reported, so a change
-# that breaks them fails the build.
+# the memory image's bulk reads) and of the cold per-unit setup
+# benchmarks of a generated 64-op program on config D (BenchmarkLoad:
+# machine, caches and memory image; BenchmarkTranslate: every block;
+# BenchmarkEncode and BenchmarkDecode: its binary image), allocations
+# reported, so a change that breaks them fails the build.
 bench-smoke:
-	$(GO) test -run=NONE -bench='Schedule|Verify|WCET|Check' -benchtime=1x ./internal/runner/ ./internal/workloads/
+	$(GO) test -run=NONE -bench='Schedule|Verify|WCET|Check|Load|Translate|Encode|Decode' -benchtime=1x ./internal/runner/ ./internal/workloads/ ./internal/blockcache/ ./internal/encode/
 
 # campaign: the seeded fault-injection campaign (208 runs, each
 # classified detected, masked or not-injected) followed by the

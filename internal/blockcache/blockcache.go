@@ -177,15 +177,47 @@ func Translate(code *sched.Code, rm *regalloc.Map, enc *encode.Encoded, t *confi
 	if entry < 0 || entry >= len(code.Instrs) {
 		return nil, fmt.Errorf("blockcache: entry %d outside code of %d instructions", entry, len(code.Instrs))
 	}
-	b := &Block{Entry: entry}
-	b.OpFirst = append(b.OpFirst, 0)
-	nops := 0
-	for i := entry; i < len(code.Instrs) && i-entry < MaxBlockInstrs; i++ {
-		b.FetchAddr = append(b.FetchAddr, enc.Addr[i])
-		b.FetchSize = append(b.FetchSize, int32(enc.Size[i]))
-		b.ChunkLo = append(b.ChunkLo, enc.Addr[i]&^(icache.ChunkBytes-1))
-		b.ChunkHi = append(b.ChunkHi, (enc.Addr[i]+uint32(enc.Size[i])-1)&^(icache.ChunkBytes-1))
+	// Counting pass: the block's instruction and primary-op counts size
+	// every array once, carved from one backing array per element type.
+	n, nops := 0, 0
+	for i := entry; i < len(code.Instrs) && n < MaxBlockInstrs; i++ {
+		n++
 		hasJump := false
+		for _, so := range &code.Instrs[i].Slots {
+			if so.Op != nil && !so.Second {
+				nops++
+				hasJump = hasJump || so.Op.Info().IsJump
+			}
+		}
+		if hasJump {
+			// The block ends at the jump-carrying instruction; its delay
+			// window spans into the following blocks, tracked by the
+			// engine's redirect state.
+			break
+		}
+	}
+	addrs := make([]uint32, 3*n)
+	i32s := make([]int32, 2*n+1)
+	b := &Block{
+		Entry:       entry,
+		N:           n,
+		FetchAddr:   addrs[:n:n],
+		ChunkLo:     addrs[n : 2*n : 2*n],
+		ChunkHi:     addrs[2*n:],
+		FetchSize:   i32s[:n:n],
+		OpFirst:     i32s[n:],
+		Ops:         make([]MicroOp, nops),
+		TargetLabel: make([]string, nops),
+		Info:        make([]*isa.OpInfo, nops),
+	}
+	o := 0
+	for j := 0; j < n; j++ {
+		i := entry + j
+		b.FetchAddr[j] = enc.Addr[i]
+		b.FetchSize[j] = int32(enc.Size[i])
+		b.ChunkLo[j] = enc.Addr[i] &^ (icache.ChunkBytes - 1)
+		b.ChunkHi[j] = (enc.Addr[i] + uint32(enc.Size[i]) - 1) &^ (icache.ChunkBytes - 1)
+		b.OpFirst[j] = int32(o)
 		in := &code.Instrs[i]
 		for s := 0; s < 5; s++ {
 			so := in.Slots[s]
@@ -215,7 +247,6 @@ func Translate(code *sched.Code, rm *regalloc.Map, enc *encode.Encoded, t *confi
 			target := int32(-1)
 			if info.IsJump {
 				f |= FlagJump
-				hasJump = true
 				if ti, ok := code.Labels[op.Target]; ok {
 					target = int32(ti)
 				}
@@ -240,7 +271,7 @@ func Translate(code *sched.Code, rm *regalloc.Map, enc *encode.Encoded, t *confi
 				}
 			}
 
-			b.Ops = append(b.Ops, MicroOp{
+			b.Ops[o] = MicroOp{
 				Exec:     info.Exec,
 				Imm:      op.Imm,
 				Target:   target,
@@ -252,19 +283,12 @@ func Translate(code *sched.Code, rm *regalloc.Map, enc *encode.Encoded, t *confi
 				NDest:    uint8(info.NDest),
 				Src:      src,
 				Dest:     dst,
-			})
-			b.TargetLabel = append(b.TargetLabel, op.Target)
-			b.Info = append(b.Info, info)
-			nops++
-		}
-		b.OpFirst = append(b.OpFirst, int32(nops))
-		b.N++
-		if hasJump {
-			// The block ends at the jump-carrying instruction; its delay
-			// window spans into the following blocks, tracked by the
-			// engine's redirect state.
-			break
+			}
+			b.TargetLabel[o] = op.Target
+			b.Info[o] = info
+			o++
 		}
 	}
+	b.OpFirst[n] = int32(o)
 	return b, nil
 }

@@ -9,6 +9,7 @@ import (
 	"tm3270/internal/encode"
 	"tm3270/internal/icache"
 	"tm3270/internal/prog"
+	"tm3270/internal/progen"
 	"tm3270/internal/regalloc"
 	"tm3270/internal/sched"
 )
@@ -257,5 +258,71 @@ func TestCacheCoversWholeProgram(t *testing.T) {
 	}
 	if c.Stats.Translated != int64(len(code.Instrs)) {
 		t.Errorf("translated %d blocks for %d entries", c.Stats.Translated, len(code.Instrs))
+	}
+}
+
+// TestTranslateAllocs checks that a translation's allocations do not
+// grow with its size: a counting pass sizes every array once, so a
+// 1-instruction block and a 256-instruction block cost the same.
+func TestTranslateAllocs(t *testing.T) {
+	tgt := config.ConfigD()
+	b := prog.NewBuilder("bc_chain")
+	x := b.Reg()
+	b.Imm(x, 0)
+	for i := 0; i < blockcache.MaxBlockInstrs+20; i++ {
+		b.AddI(x, x, 1) // dependent: one instruction each
+	}
+	code, rm, enc := translated(t, b.MustProgram(), tgt)
+	var allocs [2]float64
+	for k, entry := range []int{len(code.Instrs) - 1, 0} {
+		blk, err := blockcache.Translate(code, rm, enc, &tgt, entry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []int{1, blockcache.MaxBlockInstrs}[k]; blk.N != want {
+			t.Fatalf("block at %d covers %d instructions, want %d", entry, blk.N, want)
+		}
+		if len(blk.OpFirst) != blk.N+1 || int(blk.OpFirst[blk.N]) != len(blk.Ops) ||
+			len(blk.TargetLabel) != len(blk.Ops) || len(blk.Info) != len(blk.Ops) ||
+			len(blk.FetchAddr) != blk.N || len(blk.ChunkHi) != blk.N {
+			t.Fatalf("block at %d: inconsistent array lengths", entry)
+		}
+		allocs[k] = testing.AllocsPerRun(20, func() {
+			if _, err := blockcache.Translate(code, rm, enc, &tgt, entry); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("Translate allocations: %.0f for 1 instruction, %.0f for %d",
+			allocs[0], allocs[1], blockcache.MaxBlockInstrs)
+	}
+}
+
+// BenchmarkTranslate measures translating the block entered at every
+// instruction of a generated 64-op program on config D.
+func BenchmarkTranslate(b *testing.B) {
+	tgt := config.ConfigD()
+	p := progen.Generate(progen.Config{Seed: 1, Target: &tgt, Ops: 64})
+	code, err := sched.Schedule(p, tgt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rm, err := regalloc.Allocate(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc, err := encode.Encode(code, rm, base)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for entry := range code.Instrs {
+			if _, err := blockcache.Translate(code, rm, enc, &tgt, entry); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

@@ -132,3 +132,76 @@ func TestLineAddrIndex(t *testing.T) {
 		t.Error("adjacent lines must map to different sets")
 	}
 }
+
+var sink *cache.Cache
+
+// TestCacheNewAllocs guards the flat layout: building configuration D's
+// data cache (1,024 lines with byte validity) is the Cache, its line
+// array and its LRU array, however many sets the geometry has.
+func TestCacheNewAllocs(t *testing.T) {
+	cfg := config.ConfigD().DCache
+	allocs := testing.AllocsPerRun(20, func() { sink = cache.New(cfg, true) })
+	if allocs > 3 {
+		t.Errorf("cache.New(D$) = %.0f allocations, want <= 3", allocs)
+	}
+}
+
+// TestByteValidityPerLine checks that lines filled in any order keep
+// their own validity bits, and that a refill of a line reuses them.
+func TestByteValidityPerLine(t *testing.T) {
+	c := smallCache(true)
+	addrs := []uint32{0x0000, 0x0200, 0x0040, 0x0080}
+	lines := make([]*cache.Line, len(addrs))
+	for i, a := range addrs {
+		lines[i] = c.Victim(a)
+		c.Fill(lines[i], a, false)
+		c.MarkValid(lines[i], a+uint32(i), i+1)
+	}
+	for i, l := range lines {
+		if got := c.ValidByteCount(l); got != i+1 {
+			t.Errorf("line %#x: %d valid bytes, want %d", addrs[i], got, i+1)
+		}
+	}
+	c.Fill(lines[0], 0x0400, true)
+	if got := c.ValidByteCount(lines[0]); got != 64 {
+		t.Errorf("refilled line: %d valid bytes, want 64", got)
+	}
+	if got := c.ValidByteCount(lines[1]); got != 2 {
+		t.Errorf("neighbour after refill: %d valid bytes, want 2", got)
+	}
+}
+
+// TestLookupTouchPromotes checks that a hit through LookupTouch makes
+// the line most recently used, as Lookup followed by Touch would.
+func TestLookupTouchPromotes(t *testing.T) {
+	c := smallCache(false)
+	a1, a2, a3 := uint32(0x0000), uint32(0x0200), uint32(0x0400)
+	for _, a := range []uint32{a1, a2} {
+		c.Fill(c.Victim(a), a, true)
+	}
+	if l, hit := c.LookupTouch(a1); !hit || l.Tag != 0 {
+		t.Fatal("LookupTouch missed a filled line")
+	}
+	if _, hit := c.LookupTouch(a3); hit {
+		t.Fatal("LookupTouch hit an absent line")
+	}
+	if got := c.VictimAddr(c.Victim(a3), a3); got != a2 {
+		t.Errorf("victim = %#x, want %#x after touching %#x", got, a2, a1)
+	}
+}
+
+// TestNoByteValidity checks that a cache without byte validity reports
+// every byte of a line valid, whatever was marked.
+func TestNoByteValidity(t *testing.T) {
+	c := smallCache(false)
+	if got := c.Config().LineBytes; got != 64 {
+		t.Fatalf("LineBytes = %d", got)
+	}
+	v := c.Victim(0x40)
+	c.Fill(v, 0x40, false)
+	c.MarkValid(v, 0x44, 4)
+	c.SetAllValid(v)
+	if !c.BytesValid(v, 0x40, 64) || c.ValidByteCount(v) != 64 {
+		t.Error("a cache without byte validity must report whole lines valid")
+	}
+}

@@ -164,8 +164,10 @@ func (d *DCache) one(now int64, addr uint32, size int, lineAddr uint32, kind Kin
 					d.pf.Stats.Late++
 					delete(d.prefetched, lineAddr)
 				}
-				d.Events.Complete(telemetry.LaneDCache, "stall:inflight", "dstall",
-					now, stall, map[string]any{"line": lineAddr})
+				if d.Events != nil {
+					d.Events.Complete(telemetry.LaneDCache, "stall:inflight", "dstall",
+						now, stall, map[string]any{"line": lineAddr})
+				}
 			}
 			if !d.arr.BytesValid(l, addr, size) {
 				// Allocated line with holes: fetch and merge.
@@ -173,8 +175,10 @@ func (d *DCache) one(now int64, addr uint32, size int, lineAddr uint32, kind Kin
 				done := d.biu.Read(d.t, now+stall, d.t.DCache.LineBytes, false)
 				d.arr.SetAllValid(l)
 				d.Stats.StallMiss += done - (now + stall)
-				d.Events.Complete(telemetry.LaneDCache, "merge-fetch", "dmiss",
-					now+stall, done-(now+stall), map[string]any{"line": lineAddr})
+				if d.Events != nil {
+					d.Events.Complete(telemetry.LaneDCache, "merge-fetch", "dmiss",
+						now+stall, done-(now+stall), map[string]any{"line": lineAddr})
+				}
 				stall = done - now
 			} else {
 				d.Stats.LoadHits++
@@ -194,8 +198,10 @@ func (d *DCache) one(now int64, addr uint32, size int, lineAddr uint32, kind Kin
 			d.Fault.Fill(lineAddr)
 		}
 		d.Stats.StallMiss += done - now
-		d.Events.Complete(telemetry.LaneDCache, "load-miss", "dmiss",
-			now, done-now, map[string]any{"line": lineAddr, "addr": addr})
+		if d.Events != nil {
+			d.Events.Complete(telemetry.LaneDCache, "load-miss", "dmiss",
+				now, done-now, map[string]any{"line": lineAddr, "addr": addr})
+		}
 		return done - now
 
 	default: // Store
@@ -234,8 +240,10 @@ func (d *DCache) one(now int64, addr uint32, size int, lineAddr uint32, kind Kin
 		if d.cwb[e] > now {
 			stall = d.cwb[e] - now
 			d.Stats.StallCWB += stall
-			d.Events.Complete(telemetry.LaneCWB, "stall:cwb-full", "dstall",
-				now, stall, map[string]any{"line": lineAddr})
+			if d.Events != nil {
+				d.Events.Complete(telemetry.LaneCWB, "stall:cwb-full", "dstall",
+					now, stall, map[string]any{"line": lineAddr})
+			}
 		}
 		d.arr.Fill(v, lineAddr, true)
 		done := d.biu.Read(d.t, now+stall, d.t.DCache.LineBytes, false)
@@ -245,8 +253,10 @@ func (d *DCache) one(now int64, addr uint32, size int, lineAddr uint32, kind Kin
 		v.ReadyAt = done
 		v.Dirty = true
 		d.cwb[e] = done
-		d.Events.Complete(telemetry.LaneCWB, "cwb-park", "cwb",
-			now+stall, done-(now+stall), map[string]any{"line": lineAddr, "entry": e})
+		if d.Events != nil {
+			d.Events.Complete(telemetry.LaneCWB, "cwb-park", "cwb",
+				now+stall, done-(now+stall), map[string]any{"line": lineAddr, "entry": e})
+		}
 		return stall
 	}
 }
@@ -315,6 +325,8 @@ func (d *DCache) maybePrefetch(now int64, loadAddr uint32) {
 	v.ReadyAt = d.biu.Read(d.t, now, d.t.DCache.LineBytes, true) + extra
 	d.prefetched[lineAddr] = true
 	d.pf.Stats.Issued++
-	d.Events.Complete(telemetry.LanePrefetch, "prefetch-fill", "prefetch",
-		now, v.ReadyAt-now, map[string]any{"line": lineAddr, "trigger": loadAddr})
+	if d.Events != nil {
+		d.Events.Complete(telemetry.LanePrefetch, "prefetch-fill", "prefetch",
+			now, v.ReadyAt-now, map[string]any{"line": lineAddr, "trigger": loadAddr})
+	}
 }

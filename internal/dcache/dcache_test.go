@@ -268,3 +268,33 @@ func TestMemTimingScalesWithLineSize(t *testing.T) {
 		t.Error("memory latency must be positive")
 	}
 }
+
+// TestUnarmedEventsAllocateNothing checks that a warmed load miss with a
+// copyback allocates nothing when no event trace is armed: the trace
+// arguments of the cache and bus events are built only for an armed
+// trace.
+func TestUnarmedEventsAllocateNothing(t *testing.T) {
+	tgt := config.ConfigD()
+	dc, _ := newDC(tgt, nil)
+	stride := uint32(tgt.DCache.Sets() * tgt.DCache.LineBytes) // same set, next tag
+	now, addr := int64(0), uint32(0x10000)
+	missDirty := func() {
+		// Each load misses in one set, whose LRU victim an earlier
+		// store left dirty; the store then dirties the new line.
+		now += 1000
+		dc.Access(now, addr, 4, dcache.Load)
+		dc.Access(now+1, addr, 4, dcache.Store)
+		addr += stride
+	}
+	for i := 0; i < 2*tgt.DCache.Ways; i++ {
+		missDirty()
+	}
+	misses, copybacks := dc.Stats.LoadMisses, dc.Stats.Copybacks
+	if allocs := testing.AllocsPerRun(50, missDirty); allocs != 0 {
+		t.Errorf("warmed load miss with copyback: %.1f allocations, want 0", allocs)
+	}
+	if dc.Stats.LoadMisses-misses != 51 || dc.Stats.Copybacks-copybacks != 51 {
+		t.Errorf("%d load misses, %d copybacks over 51 runs, want 51 each",
+			dc.Stats.LoadMisses-misses, dc.Stats.Copybacks-copybacks)
+	}
+}

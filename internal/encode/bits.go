@@ -18,24 +18,24 @@ type bitWriter struct {
 	nbit int // bits written
 }
 
+// write appends the low bits bits of v (bits <= 64), most significant
+// first, a byte-sized chunk at a time.
 func (w *bitWriter) write(v uint64, bits int) {
-	for i := bits - 1; i >= 0; i-- {
-		if w.nbit&7 == 0 {
+	for bits > 0 {
+		used := w.nbit & 7
+		if used == 0 {
 			w.buf = append(w.buf, 0)
 		}
-		if v>>uint(i)&1 != 0 {
-			w.buf[len(w.buf)-1] |= 0x80 >> uint(w.nbit&7)
-		}
-		w.nbit++
+		take := min(8-used, bits)
+		chunk := byte(v>>uint(bits-take)) & byte(1<<uint(take)-1)
+		w.buf[len(w.buf)-1] |= chunk << uint(8-used-take)
+		w.nbit += take
+		bits -= take
 	}
 }
 
 // padToByte fills the current byte with zero bits.
-func (w *bitWriter) padToByte() {
-	for w.nbit&7 != 0 {
-		w.nbit++
-	}
-}
+func (w *bitWriter) padToByte() { w.nbit = (w.nbit + 7) &^ 7 }
 
 // bitReader reads MSB-first bit fields.
 type bitReader struct {
@@ -43,19 +43,24 @@ type bitReader struct {
 	pos int // bit position
 }
 
+// read extracts the next bits-wide field (bits <= 64), a byte-sized
+// chunk at a time. A field running past the end of the stream fails
+// with the position moved to the end, as a bit-serial reader would.
 func (r *bitReader) read(bits int) (uint64, error) {
+	end := r.pos + bits
+	if limit := len(r.buf) * 8; bits > 0 && end > limit {
+		r.pos = max(r.pos, limit)
+		return 0, fmt.Errorf("encode: bitstream exhausted at bit %d", r.pos)
+	}
 	var v uint64
-	for i := 0; i < bits; i++ {
-		byteIdx := r.pos >> 3
-		if byteIdx >= len(r.buf) {
-			return 0, fmt.Errorf("encode: bitstream exhausted at bit %d", r.pos)
-		}
-		v = v<<1 | uint64(r.buf[byteIdx]>>(7-uint(r.pos&7))&1)
-		r.pos++
+	for r.pos < end {
+		used := r.pos & 7
+		take := min(8-used, end-r.pos)
+		chunk := r.buf[r.pos>>3] >> uint(8-used-take) & byte(1<<uint(take)-1)
+		v = v<<uint(take) | uint64(chunk)
+		r.pos += take
 	}
 	return v, nil
 }
-
-func (r *bitReader) alignByte() { r.pos = (r.pos + 7) &^ 7 }
 
 func (r *bitReader) seekByte(byteOff int) { r.pos = byteOff * 8 }

@@ -33,6 +33,13 @@ type DecInstr struct {
 func Decode(img []byte, base uint32, n int) ([]DecInstr, error) {
 	r := &bitReader{buf: img}
 	out := make([]DecInstr, 0, n)
+	// Every slot's DecOp comes from one slab. Instructions occupy
+	// disjoint byte ranges, a decoded slot takes at least 26 bits and
+	// the slot being read follows a 10-bit template, so the slot
+	// attempted k-th (from 0) has 26k+10 <= len(img)*8: the slab never
+	// runs out.
+	slab := make([]DecOp, min(5*n, len(img)*8/26+1))
+	k := 0
 	// The entry instruction is uncompressed: all five slots at 42 bits.
 	codes := [5]int{code42, code42, code42, code42, code42}
 	addr := base
@@ -48,8 +55,9 @@ func Decode(img []byte, base uint32, n int) ([]DecInstr, error) {
 			if codes[s] == codeAbsent {
 				continue
 			}
-			op, err := decodeSlot(r, codes[s])
-			if err != nil {
+			op := &slab[k]
+			k++
+			if err := decodeSlot(r, codes[s], op); err != nil {
 				return nil, fmt.Errorf("instr %d slot %d: %w", i, s+1, err)
 			}
 			in.Slots[s] = op
@@ -72,77 +80,78 @@ func signExtend(v uint64, bits int) uint32 {
 	return uint32(int64(v<<shift) >> shift)
 }
 
-func decodeSlot(r *bitReader, code int) (*DecOp, error) {
-	d := &DecOp{Guard: isa.R1}
+// decodeSlot reads one slot's operation of the given size code into d.
+func decodeSlot(r *bitReader, code int, d *DecOp) error {
+	d.Guard = isa.R1
 	switch code {
 	case code26:
 		op, err := r.read(6)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s1, _ := r.read(6)
 		s2, _ := r.read(6)
 		dd, _ := r.read(6)
 		if _, err := r.read(2); err != nil {
-			return nil, err
+			return err
 		}
 		if _, _, err := slotInfo(uint16(op)); err != nil {
-			return nil, err
+			return err
 		}
 		d.Opcode = uint16(op)
 		d.S1, d.S2, d.D = isa.Reg(s1), isa.Reg(s2), isa.Reg(dd)
-		return d, nil
+		return nil
 
 	case code34:
 		op, err := r.read(7)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		d.Opcode = uint16(op)
 		info, isExt, err := slotInfo(uint16(op))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if !isExt && info.HasImm && info.NSrc <= 1 && !info.IsStore {
 			s1, _ := r.read(7)
 			dd, _ := r.read(7)
 			imm, err := r.read(13)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			d.S1, d.D, d.Imm = isa.Reg(s1), isa.Reg(dd), signExtend(imm, 13)
-			return d, nil
+			return nil
 		}
 		s1, _ := r.read(7)
 		s2, _ := r.read(7)
 		dd, _ := r.read(7)
 		imm, err := r.read(6)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		d.S1, d.S2, d.D, d.Imm = isa.Reg(s1), isa.Reg(s2), isa.Reg(dd), uint32(imm)
-		return d, nil
+		return nil
 
 	case code42:
 		mk, err := r.read(3)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		switch mk {
 		case mkIImm:
 			dd, _ := r.read(7)
 			imm, err := r.read(32)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			d.Opcode = uint16(isa.OpIIMM)
 			d.D, d.Imm = isa.Reg(dd), uint32(imm)
-			return d, nil
+			return nil
 		case mkJmpI, mkJmpT, mkJmpF:
 			g, _ := r.read(7)
 			tgt, err := r.read(32)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			switch mk {
 			case mkJmpI:
@@ -153,50 +162,50 @@ func decodeSlot(r *bitReader, code int) (*DecOp, error) {
 				d.Opcode = uint16(isa.OpJMPF)
 			}
 			d.Guard, d.Target = isa.Reg(g), uint32(tgt)
-			return d, nil
+			return nil
 		case mkImmU:
 			op, err := r.read(7)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			s1, _ := r.read(7)
 			dd, _ := r.read(7)
 			imm, err := r.read(18)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if _, _, err := slotInfo(uint16(op)); err != nil {
-				return nil, err
+				return err
 			}
 			d.Opcode = uint16(op)
 			d.S1, d.D, d.Imm = isa.Reg(s1), isa.Reg(dd), signExtend(imm, 18)
-			return d, nil
+			return nil
 		case mkStoreU:
 			op, err := r.read(7)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			s1, _ := r.read(7)
 			s2, _ := r.read(7)
 			imm, err := r.read(18)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if _, _, err := slotInfo(uint16(op)); err != nil {
-				return nil, err
+				return err
 			}
 			d.Opcode = uint16(op)
 			d.S1, d.S2, d.Imm = isa.Reg(s1), isa.Reg(s2), signExtend(imm, 18)
-			return d, nil
+			return nil
 		case mkRegular:
 			op, err := r.read(7)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			d.Opcode = uint16(op)
 			info, isExt, err := slotInfo(uint16(op))
 			if err != nil {
-				return nil, err
+				return err
 			}
 			g, _ := r.read(7)
 			d.Guard = isa.Reg(g)
@@ -206,7 +215,7 @@ func decodeSlot(r *bitReader, code int) (*DecOp, error) {
 				s2, _ := r.read(7)
 				imm, err := r.read(11)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				d.S1, d.S2, d.Imm = isa.Reg(s1), isa.Reg(s2), signExtend(imm, 11)
 			case !isExt && info.HasImm && info.NSrc <= 1:
@@ -214,7 +223,7 @@ func decodeSlot(r *bitReader, code int) (*DecOp, error) {
 				dd, _ := r.read(7)
 				imm, err := r.read(11)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				d.S1, d.D, d.Imm = isa.Reg(s1), isa.Reg(dd), signExtend(imm, 11)
 			default:
@@ -223,16 +232,16 @@ func decodeSlot(r *bitReader, code int) (*DecOp, error) {
 				dd, _ := r.read(7)
 				imm, err := r.read(4)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				d.S1, d.S2, d.D, d.Imm = isa.Reg(s1), isa.Reg(s2), isa.Reg(dd), uint32(imm)
 			}
-			return d, nil
+			return nil
 		default:
-			return nil, fmt.Errorf("bad 42-bit marker %d", mk)
+			return fmt.Errorf("bad 42-bit marker %d", mk)
 		}
 	}
-	return nil, fmt.Errorf("bad size code %d", code)
+	return fmt.Errorf("bad size code %d", code)
 }
 
 // slotInfo returns the shape information for a decoded opcode, handling

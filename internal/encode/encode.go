@@ -54,13 +54,6 @@ type Encoded struct {
 // TotalBytes returns the code size.
 func (e *Encoded) TotalBytes() int { return len(e.Bytes) }
 
-// slotEnc is the planned encoding of one occupied slot.
-type slotEnc struct {
-	code int // code26/code34/code42
-	op   *prog.Op
-	ext  bool // second half of a two-slot operation
-}
-
 // Encode lays out and encodes scheduled code at the given base address
 // using the physical registers of the allocation map.
 func Encode(c *sched.Code, m *regalloc.Map, base uint32) (*Encoded, error) {
@@ -79,29 +72,29 @@ func Encode(c *sched.Code, m *regalloc.Map, base uint32) (*Encoded, error) {
 		}
 	}
 
-	// Plan per-slot encodings and sizes.
-	plans := make([][5]*slotEnc, len(c.Instrs))
+	// Plan per-slot encodings (the compression code of every slot,
+	// codeAbsent for an unused one) and sizes.
+	plans := make([][5]uint8, len(c.Instrs))
 	sizes := make([]int, len(c.Instrs))
 	for i := range c.Instrs {
 		bits := 10 // template field
 		for s := 0; s < 5; s++ {
 			so := c.Instrs[i].Slots[s]
-			if so.Op == nil {
-				if uncompressed[i] {
-					// Padding NOP at full width.
-					plans[i][s] = &slotEnc{code: code42, op: nil}
-					bits += 42
+			code := codeAbsent
+			switch {
+			case so.Op != nil:
+				var err error
+				code, err = chooseCode(so.Op, so.Second, m, uncompressed[i])
+				if err != nil {
+					return nil, fmt.Errorf("encode %s instr %d slot %d: %w", c.Name, i, s+1, err)
 				}
-				continue
+				bits += sizeBits[code]
+			case uncompressed[i]:
+				// Padding NOP at full width.
+				code = code42
+				bits += 42
 			}
-			se := &slotEnc{op: so.Op, ext: so.Second}
-			var err error
-			se.code, err = chooseCode(so.Op, so.Second, m, uncompressed[i])
-			if err != nil {
-				return nil, fmt.Errorf("encode %s instr %d slot %d: %w", c.Name, i, s+1, err)
-			}
-			plans[i][s] = se
-			bits += sizeBits[se.code]
+			plans[i][s] = uint8(code)
 		}
 		sizes[i] = (bits + 7) / 8
 	}
@@ -116,16 +109,17 @@ func Encode(c *sched.Code, m *regalloc.Map, base uint32) (*Encoded, error) {
 	}
 	enc.Addr[len(c.Instrs)] = addr
 
-	// Emit.
-	w := &bitWriter{}
+	// Emit into a buffer sized to the laid-out image.
+	w := bitWriter{buf: make([]byte, 0, addr-base)}
 	for i := range c.Instrs {
 		w.write(uint64(templateFor(plans, i+1)), 10)
 		for s := 0; s < 5; s++ {
-			se := plans[i][s]
-			if se == nil {
+			code := int(plans[i][s])
+			if code == codeAbsent {
 				continue
 			}
-			if err := emitSlot(w, se, m, c, enc); err != nil {
+			so := c.Instrs[i].Slots[s]
+			if err := emitSlot(&w, so.Op, so.Second, code, m, c, enc); err != nil {
 				return nil, fmt.Errorf("encode %s instr %d slot %d: %w", c.Name, i, s+1, err)
 			}
 		}
@@ -142,12 +136,12 @@ func Encode(c *sched.Code, m *regalloc.Map, base uint32) (*Encoded, error) {
 // templateFor builds the 10-bit template describing instruction i (the
 // template is carried by instruction i-1). Past the end, all slots read
 // as absent.
-func templateFor(plans [][5]*slotEnc, i int) int {
+func templateFor(plans [][5]uint8, i int) int {
 	t := 0
 	for s := 0; s < 5; s++ {
 		code := codeAbsent
-		if i < len(plans) && plans[i][s] != nil {
-			code = plans[i][s].code
+		if i < len(plans) {
+			code = int(plans[i][s])
 		}
 		t = t<<2 | code
 	}
@@ -248,9 +242,11 @@ func fitsSigned(v int64, bits int) bool {
 	return v >= -lim && v < lim
 }
 
-// emitSlot writes one slot's encoding.
-func emitSlot(w *bitWriter, se *slotEnc, m *regalloc.Map, c *sched.Code, enc *Encoded) error {
-	if se.op == nil {
+// emitSlot writes one slot's encoding in the planned compression code:
+// op, or a full-width padding NOP when op is nil; ext selects the
+// second half of a two-slot operation.
+func emitSlot(w *bitWriter, op *prog.Op, ext bool, code int, m *regalloc.Map, c *sched.Code, enc *Encoded) error {
+	if op == nil {
 		// Full-width padding NOP (regular 42-bit form of opcode 0).
 		w.write(mkRegular, 3)
 		w.write(uint64(isa.OpNOP), 7)
@@ -258,7 +254,6 @@ func emitSlot(w *bitWriter, se *slotEnc, m *regalloc.Map, c *sched.Code, enc *En
 		w.write(0, 42-3-7-7)
 		return nil
 	}
-	op := se.op
 	info := op.Info()
 	guard := m.Reg(op.Guard)
 
@@ -268,7 +263,7 @@ func emitSlot(w *bitWriter, se *slotEnc, m *regalloc.Map, c *sched.Code, enc *En
 	if info.NDest > 0 {
 		d = uint64(m.Reg(op.Dest[0]))
 	}
-	if se.ext {
+	if ext {
 		// Second half: sources 3 and 4, destination 2.
 		opcode = SuperExtOpcode
 		s1, s2 = uint64(m.Reg(op.Src[2])), uint64(m.Reg(op.Src[3]))
@@ -278,7 +273,7 @@ func emitSlot(w *bitWriter, se *slotEnc, m *regalloc.Map, c *sched.Code, enc *En
 		}
 	}
 
-	switch se.code {
+	switch code {
 	case code26:
 		w.write(opcode, 6)
 		w.write(s1, 6)
@@ -287,7 +282,7 @@ func emitSlot(w *bitWriter, se *slotEnc, m *regalloc.Map, c *sched.Code, enc *En
 		w.write(0, 2)
 	case code34:
 		w.write(opcode, 7)
-		if !se.ext && info.HasImm && info.NSrc <= 1 && !info.IsStore {
+		if !ext && info.HasImm && info.NSrc <= 1 && !info.IsStore {
 			// Shape B: one source, destination, 13-bit signed immediate.
 			w.write(s1, 7)
 			w.write(d, 7)
@@ -300,7 +295,7 @@ func emitSlot(w *bitWriter, se *slotEnc, m *regalloc.Map, c *sched.Code, enc *En
 			w.write(uint64(op.Imm)&0x3f, 6)
 		}
 	case code42:
-		if se.ext {
+		if ext {
 			w.write(mkRegular, 3)
 			w.write(opcode, 7)
 			w.write(uint64(isa.R1), 7)

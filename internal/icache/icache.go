@@ -78,8 +78,10 @@ func (ic *ICache) fetchChunk(now int64, chunk uint32) int64 {
 	v := ic.arr.Victim(lineAddr)
 	ic.arr.Fill(v, lineAddr, true)
 	done := ic.biu.Read(ic.t, now, ic.t.ICache.LineBytes, false)
-	ic.Events.Complete(telemetry.LaneFetch, "imiss-refill", "imiss",
-		now, done-now, map[string]any{"line": lineAddr})
+	if ic.Events != nil {
+		ic.Events.Complete(telemetry.LaneFetch, "imiss-refill", "imiss",
+			now, done-now, map[string]any{"line": lineAddr})
+	}
 	return done - now
 }
 

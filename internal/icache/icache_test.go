@@ -67,3 +67,23 @@ func TestLoopFitsInCache(t *testing.T) {
 		t.Errorf("misses = %d, want 8 (cold only)", ic.Stats.Misses)
 	}
 }
+
+// TestUnarmedMissAllocatesNothing checks that an instruction-cache miss
+// allocates nothing when no event trace is armed.
+func TestUnarmedMissAllocatesNothing(t *testing.T) {
+	ic, tgt := newIC()
+	stride := uint32(tgt.ICache.Sets() * tgt.ICache.LineBytes)
+	now, addr := int64(0), uint32(0x1000)
+	miss := func() {
+		now += 1000
+		ic.Fetch(now, addr, 8)
+		addr += stride
+	}
+	misses := ic.Stats.Misses
+	if allocs := testing.AllocsPerRun(50, miss); allocs != 0 {
+		t.Errorf("I$ miss: %.1f allocations, want 0", allocs)
+	}
+	if got := ic.Stats.Misses - misses; got != 51 {
+		t.Errorf("%d misses over 51 runs, want 51", got)
+	}
+}

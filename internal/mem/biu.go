@@ -72,8 +72,10 @@ func (b *BIU) Read(t *config.Target, now int64, bytes int, prefetch bool) int64 
 	} else {
 		b.DemandReads++
 	}
-	b.Events.Complete(telemetry.LaneBus, name, "bus",
-		start, b.busyTill-start, map[string]any{"bytes": bytes})
+	if b.Events != nil {
+		b.Events.Complete(telemetry.LaneBus, name, "bus",
+			start, b.busyTill-start, map[string]any{"bytes": bytes})
+	}
 	return start + b.latency + tr
 }
 
@@ -85,8 +87,10 @@ func (b *BIU) Write(t *config.Target, now int64, bytes int) int64 {
 	b.busyTill = start + b.overhead + tr
 	b.Writes++
 	b.BytesWritten += int64(bytes)
-	b.Events.Complete(telemetry.LaneBus, "write:copyback", "bus",
-		start, b.busyTill-start, map[string]any{"bytes": bytes})
+	if b.Events != nil {
+		b.Events.Complete(telemetry.LaneBus, "write:copyback", "bus",
+			start, b.busyTill-start, map[string]any{"bytes": bytes})
+	}
 	return start + tr
 }
 
