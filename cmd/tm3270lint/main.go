@@ -40,7 +40,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 
 	"tm3270/internal/binverify"
 	"tm3270/internal/config"
@@ -121,30 +120,15 @@ func main() {
 		names = workloads.Names()
 	}
 
-	workers := *parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(names) {
-		workers = len(names)
-	}
 	reports := make([]report, len(names))
-	idxCh := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idxCh {
-				reports[i] = verifyOne(names[i], p, tgt, *strict, *quiet, *exec)
-			}
-		}()
+	pool := runner.NewPool(min(*parallel, len(names)), 0)
+	for i, name := range names {
+		// Submit fails only on a done context, and this one never is.
+		_ = pool.Submit(context.Background(), func() {
+			reports[i] = verifyOne(name, p, tgt, *strict, *quiet, *exec)
+		})
 	}
-	for i := range names {
-		idxCh <- i
-	}
-	close(idxCh)
-	wg.Wait()
+	pool.Close()
 
 	failed := false
 	doc := struct {

@@ -114,22 +114,6 @@ func canonTrap(simErr error, refTrap *refmodel.Trap) (string, string, bool) {
 	return sim, ref, sim == ref
 }
 
-// copyImage seeds the reference model's memory with the pipeline
-// model's initial image, preserving per-byte write validity: only
-// bytes the init actually wrote become defined, so both models' strict
-// modes see an identical validity map.
-func copyImage(f *mem.Func) *refmodel.Mem {
-	m := refmodel.NewMem()
-	for _, pa := range f.PageAddrs() {
-		for i := uint32(0); i < 1<<12; i++ {
-			if f.Defined(pa+i, 1) {
-				m.SetByte(pa+i, f.ByteAt(pa+i))
-			}
-		}
-	}
-	return m
-}
-
 // run is one fully-prepared co-simulation: compiled artifact, initial
 // image and entry arguments.
 type run struct {
@@ -154,7 +138,7 @@ func (r *run) newPair(dec []encode.DecInstr, opts Options) (*tmsim.Machine, *ref
 	sim := r.newSim()
 	refImage := refmodel.NewMem()
 	if r.init != nil {
-		refImage = copyImage(r.init)
+		refImage = refmodel.MemFrom(r.init)
 	}
 	ref := refmodel.New(dec, r.t, refImage)
 	sim.MaxInstrs, ref.MaxInstrs = opts.MaxInstrs, opts.MaxInstrs

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tm3270/internal/campaign"
@@ -299,4 +300,58 @@ func FuzzCosim(f *testing.F) {
 			t.Fatalf("seed %d ops %d on %s diverged: %s", seed, genOps, target.Name, res.Div)
 		}
 	})
+}
+
+// TestStoredDivergenceRoundTrip: a divergent unit's campaign record
+// rebuilds the exact report line of the live result, so a resumed
+// campaign prints what the original run would have.
+func TestStoredDivergenceRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		u   campaign.Unit
+		res *Result
+	}{
+		{campaign.Unit{Kind: KindGenerated, Seed: 7, Target: "D"},
+			&Result{Name: "gen7", Target: "D", Instrs: 40,
+				Div: &Divergence{Kind: "lockstep-reg", Detail: "r5 = 0x1, ref 0x2", Issue: 3, Cycle: 9, PC: 0x1000040}}},
+		{campaign.Unit{Kind: KindWorkload, Name: "memcpy", Target: "A"},
+			&Result{Name: "memcpy", Target: "A", Instrs: 12,
+				Div: &Divergence{Kind: "mem", Detail: "byte 0x2000 = 0x1, ref 0x0"}}},
+	} {
+		rec := storedResult(tc.res)
+		if !rec.Bad {
+			t.Fatalf("%s: divergent record not marked bad", tc.res.Name)
+		}
+		got := fromStored(tc.u, rec)
+		if got.Name != tc.res.Name || got.Target != tc.res.Target || got.Instrs != tc.res.Instrs ||
+			got.Div.String() != tc.res.Div.String() {
+			t.Errorf("round trip %+v %q, want %+v %q", got, got.Div, tc.res, tc.res.Div)
+		}
+		c := &Campaign{Divergent: []*Result{got}}
+		var b strings.Builder
+		c.PrintSummary(&b)
+		if want := tc.res.Name + " on " + tc.res.Target + ": " + tc.res.Div.String(); !strings.Contains(b.String(), want) {
+			t.Errorf("summary %q lacks %q", b.String(), want)
+		}
+	}
+	var b strings.Builder
+	(&Campaign{}).PrintSummary(&b)
+	if !strings.Contains(b.String(), "zero divergences") {
+		t.Errorf("clean summary %q", b.String())
+	}
+}
+
+// TestCampaignSpec: the store fingerprint follows the params and the
+// strict switch and ignores the seed count.
+func TestCampaignSpec(t *testing.T) {
+	base := CampaignConfig{Seeds: 10}
+	more := CampaignConfig{Seeds: 20}
+	strict := CampaignConfig{Opts: Options{StrictMem: true}}
+	full := workloads.Full()
+	big := CampaignConfig{Params: &full}
+	if base.Spec() != more.Spec() {
+		t.Error("seed count changed the spec")
+	}
+	if base.Spec() == strict.Spec() || base.Spec() == big.Spec() {
+		t.Error("strict mode or params left the spec unchanged")
+	}
 }

@@ -12,8 +12,8 @@ import (
 // determinism guarantee at the serialization boundary: the marshaled
 // bench report of a 4-way parallel run is byte-identical to the serial
 // one. Anything order-dependent or state-leaking between concurrent
-// runs — a shared spec, a racy counter, out-of-order aggregation —
-// breaks this equality.
+// runs — per-run state hidden in a shared spec, a racy counter,
+// out-of-order aggregation — breaks this equality.
 func TestBenchJSONParallelGolden(t *testing.T) {
 	p := quick()
 	serial, err := experiments.BenchJSON(p, true, 1, nil)

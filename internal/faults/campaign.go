@@ -132,14 +132,14 @@ func RunCampaign(ctx context.Context, cfg CampaignConfig, w io.Writer) (*Campaig
 	cfg.fill()
 	res := &CampaignResult{Counts: map[Outcome]int{}}
 	for _, name := range cfg.Workloads {
-		ref, err := referenceImage(name, *cfg.Params)
+		wl, err := setupWorkload(name, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("faults: reference %s: %w", name, err)
+			return nil, err
 		}
 		for _, spec := range cfg.Specs {
 			for s := 0; s < cfg.Seeds; s++ {
 				seed := int64(s + 1)
-				rep, err := runOne(ctx, name, cfg, spec, seed, ref)
+				rep, err := wl.runOne(ctx, cfg, spec, seed)
 				if cerr := ctx.Err(); cerr != nil {
 					return nil, cerr
 				}
@@ -164,39 +164,45 @@ func (r *CampaignResult) PrintSummary(w io.Writer) {
 		r.Runs(), r.Counts[DetectedTrap], r.Counts[DetectedDivergence], r.Counts[Masked], r.Counts[NotInjected])
 }
 
-// referenceImage runs the workload on the sequential reference
-// interpreter and returns its final (fault-free) memory image.
-func referenceImage(name string, p workloads.Params) (*mem.Func, error) {
-	w, err := workloads.ByName(name, p)
-	if err != nil {
-		return nil, err
-	}
-	image, err := w.Reference()
-	if errors.Is(err, workloads.ErrCheck) {
-		return nil, fmt.Errorf("fault-free reference fails its own check: %w", err)
-	}
-	return image, err
+// campaignWorkload is one workload's campaign setup, built once and
+// shared by all of its runs: the immutable spec, its compilation and
+// the fault-free final image of the sequential reference interpreter.
+type campaignWorkload struct {
+	name string
+	w    *workloads.Spec
+	art  *runner.Artifact
+	ref  *mem.Func
 }
 
-// runOne executes one seeded fault-injected run and classifies it.
-func runOne(ctx context.Context, name string, cfg CampaignConfig, spec Spec, seed int64, ref *mem.Func) (*RunReport, error) {
-	// A fresh workload instance per run: Init/Check closures carry
-	// per-image state.
+func setupWorkload(name string, cfg CampaignConfig) (*campaignWorkload, error) {
 	w, err := workloads.ByName(name, *cfg.Params)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("faults: %s: %w", name, err)
 	}
 	art, err := runner.CompileWorkload(w, *cfg.Target)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("faults: %s: %w", name, err)
 	}
+	ref, err := w.Reference()
+	if errors.Is(err, workloads.ErrCheck) {
+		err = fmt.Errorf("fault-free reference fails its own check: %w", err)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("faults: reference %s: %w", name, err)
+	}
+	return &campaignWorkload{name: name, w: w, art: art, ref: ref}, nil
+}
+
+// runOne executes one seeded fault-injected run and classifies it.
+func (cw *campaignWorkload) runOne(ctx context.Context, cfg CampaignConfig, spec Spec, seed int64) (*RunReport, error) {
+	w, ref := cw.w, cw.ref
 	image := mem.NewFunc()
 	if w.Init != nil {
 		if err := w.Init(image); err != nil {
 			return nil, err
 		}
 	}
-	l := runner.Load(art, image, runner.WithWatchdog(cfg.MaxInstrs))
+	l := runner.Load(cw.art, image, runner.WithWatchdog(cfg.MaxInstrs))
 	for v, val := range w.Args {
 		l.Machine.SetReg(v, val)
 	}
@@ -205,7 +211,7 @@ func runOne(ctx context.Context, name string, cfg CampaignConfig, spec Spec, see
 	inj.Arm(l.Machine)
 	runErr := l.RunContext(ctx)
 
-	rep := &RunReport{Workload: name, Spec: spec, Seed: seed, Injected: len(inj.Events)}
+	rep := &RunReport{Workload: cw.name, Spec: spec, Seed: seed, Injected: len(inj.Events)}
 	if runErr != nil {
 		rep.Outcome = DetectedTrap
 		rep.Detail = runErr.Error()

@@ -135,10 +135,7 @@ func (t *mutTarget) mutate(seed int64, img []byte) {
 // or a stray address now sees seed-dependent noise instead of the
 // masking zeros a single fixed initial state offers.
 func (t *mutTarget) newRef(dec []encode.DecInstr, target *config.Target, mseed int64) *refmodel.Machine {
-	image := refmodel.NewMem()
-	for _, pa := range t.init.PageAddrs() {
-		image.WriteBytes(pa, t.init.ReadBytes(pa, 1<<12))
-	}
+	image := refmodel.MemFrom(t.init)
 	if mseed != 0 {
 		rng := rand.New(rand.NewSource(mseed * 0x9E3779B9))
 		for _, reg := range t.w.Regions {

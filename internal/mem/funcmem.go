@@ -114,6 +114,17 @@ func (m *Func) PageBytes(addr uint32) []byte {
 	return nil
 }
 
+// PageValid returns the per-byte write-validity bitmap of the page
+// holding addr (byte i of the page is valid when bit i%8 of entry i/8
+// is set), or nil if that page was never written. The slice aliases
+// the image: callers must not modify it.
+func (m *Func) PageValid(addr uint32) []byte {
+	if p := m.page(addr); p != nil {
+		return p.valid[:]
+	}
+	return nil
+}
+
 // Clone returns a deep copy of the image: every page's data and
 // per-byte validity. The copy has no Fault tap.
 func (m *Func) Clone() *Func {

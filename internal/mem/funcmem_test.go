@@ -121,6 +121,10 @@ func TestFuncZeroValue(t *testing.T) {
 	if m.Load(0x1234, 2) != 0xbeef || !m.Defined(0x1234, 2) {
 		t.Error("the zero value must accept writes")
 	}
+	// Page offsets 0x234 and 0x235 are bits 4 and 5 of validity entry 0x46.
+	if v := m.PageValid(0x1000); len(v) != 512 || v[0x46] != 0x30 || m.PageValid(0x2000) != nil {
+		t.Error("PageValid must mark the two written bytes and return nil for an unwritten page")
+	}
 }
 
 // TestFuncPageAddrsAscending: pages come back in address order however

@@ -1,6 +1,7 @@
 package mpeg2
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -111,16 +112,22 @@ func TestBuildStreams(t *testing.T) {
 		if s.CodedFrac > 0 && coded == 0 {
 			t.Errorf("%s: no coded MBs", s.Name)
 		}
+		// InitialRef regenerates exactly the reference planes Build wrote.
+		init := InitialRef(l, s)
+		if !bytes.Equal(init.Y, m.ReadBytes(l.Ref.Base, l.Ref.Bytes())) ||
+			!bytes.Equal(init.Cb, m.ReadBytes(l.RefCb.Base, l.RefCb.Bytes())) ||
+			!bytes.Equal(init.Cr, m.ReadBytes(l.RefCr.Base, l.RefCr.Bytes())) {
+			t.Errorf("%s: InitialRef differs from the planes Build wrote", s.Name)
+		}
 		// Expected reconstruction must be computable and correctly sized.
-		exp := Expected(SnapshotRef(m, l), m, l, 1)
+		exp := Expected(init, m, l, 1)
 		if len(exp.Y) != 64*48 || len(exp.Cb) != 32*24 || len(exp.Cr) != 32*24 {
 			t.Fatalf("expected frame sizes %d/%d/%d", len(exp.Y), len(exp.Cb), len(exp.Cr))
 		}
 		// Chained decoding differs from a single frame (the reference
 		// regions swap) and is deterministic.
-		snap := SnapshotRef(m, l)
-		e2 := Expected(snap, m, l, 2)
-		e2b := Expected(snap, m, l, 2)
+		e2 := Expected(init, m, l, 2)
+		e2b := Expected(init, m, l, 2)
 		if string(e2.Y) != string(e2b.Y) {
 			t.Error("chained decode not deterministic")
 		}

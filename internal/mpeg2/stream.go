@@ -104,9 +104,10 @@ func Build(m *mem.Func, w, h int, s Stream) (*Layout, error) {
 	if err != nil {
 		return nil, err
 	}
-	video.FillTestPattern(m, l.Ref, s.Seed)
-	video.FillTestPattern(m, l.RefCb, s.Seed+7)
-	video.FillTestPattern(m, l.RefCr, s.Seed+8)
+	ref := InitialRef(l, s)
+	m.WriteBytes(l.Ref.Base, ref.Y)
+	m.WriteBytes(l.RefCb.Base, ref.Cb)
+	m.WriteBytes(l.RefCr.Base, ref.Cr)
 
 	mvs := video.GenerateMVField(l.MBW, l.MBH, s.Disrupt, s.Seed+1)
 	rng := video.NewLCG(s.Seed + 2)
@@ -201,20 +202,21 @@ func (l *Layout) FinalBases(nFrames int) (y, cb, cr uint32) {
 	return l.Ref.Base, l.RefCb.Base, l.RefCr.Base
 }
 
-// SnapshotRef captures the initial reference planes. It must be taken
-// before the kernel runs: chained decoding overwrites the reference
-// region from the second frame on.
-func SnapshotRef(m *mem.Func, l *Layout) *ExpectedFrames {
+// InitialRef returns the reference planes Build writes for stream s:
+// the decoder's first motion-compensation source. Checks regenerate
+// them from the seed rather than reading them back, since chained
+// decoding overwrites the reference region from the second frame on.
+func InitialRef(l *Layout, s Stream) *ExpectedFrames {
 	return &ExpectedFrames{
-		Y:  m.ReadBytes(l.Ref.Base, l.Ref.Bytes()),
-		Cb: m.ReadBytes(l.RefCb.Base, l.RefCb.Bytes()),
-		Cr: m.ReadBytes(l.RefCr.Base, l.RefCr.Bytes()),
+		Y:  video.TestPattern(l.Ref, s.Seed),
+		Cb: video.TestPattern(l.RefCb, s.Seed+7),
+		Cr: video.TestPattern(l.RefCr, s.Seed+8),
 	}
 }
 
 // Expected computes the reference reconstruction of nFrames chained
 // frames: every frame is motion compensated from the previous frame's
-// output (the first from the init snapshot), re-using the same motion
+// output (the first from init, see InitialRef), re-using the same motion
 // vectors and residuals each frame, exactly as the kernel does. The
 // vectors, flags and coefficients are read from m, which the kernel
 // never modifies.

@@ -6,6 +6,7 @@ import (
 	"tm3270/internal/config"
 	"tm3270/internal/encode"
 	"tm3270/internal/isa"
+	"tm3270/internal/mem"
 	"tm3270/internal/prefetch"
 )
 
@@ -368,5 +369,30 @@ func TestHaltOnEndTarget(t *testing.T) {
 	}
 	if m.Issue() != 6 {
 		t.Errorf("retired %d instructions, want 6", m.Issue())
+	}
+}
+
+// TestMemFrom: the copy of a pipeline-model image keeps its data and
+// per-byte validity, so never-written bytes of a populated page stay
+// undefined.
+func TestMemFrom(t *testing.T) {
+	src := mem.NewFunc()
+	src.SetByte(0x1000, 0xaa)
+	src.Store(0x1ffe, 4, 0x11223344) // straddles two pages
+	src.SetByte(0x8000_0007, 0x55)
+	m := MemFrom(src)
+	if got, want := m.PageAddrs(), src.PageAddrs(); len(got) != len(want) {
+		t.Fatalf("pages %#x, want %#x", got, want)
+	}
+	for _, pa := range src.PageAddrs() {
+		for a := pa; a < pa+pageSize; a++ {
+			if m.ByteAt(a) != src.ByteAt(a) || m.Defined(a, 1) != src.Defined(a, 1) {
+				t.Fatalf("%#x: byte %#x defined %v, want %#x defined %v",
+					a, m.ByteAt(a), m.Defined(a, 1), src.ByteAt(a), src.Defined(a, 1))
+			}
+		}
+	}
+	if m.Defined(0x1001, 1) || !m.Defined(0x1ffe, 4) {
+		t.Error("validity not copied per byte")
 	}
 }

@@ -41,6 +41,31 @@ func (m *Mem) page(addr uint32, create bool) *page {
 	return p
 }
 
+// Image is a page-granular memory image with per-byte write validity,
+// such as the pipeline model's mem.Func.
+type Image interface {
+	// PageAddrs returns the base addresses of the populated 4 KB pages.
+	PageAddrs() []uint32
+	// PageBytes returns the data of the page holding addr.
+	PageBytes(addr uint32) []byte
+	// PageValid returns the page's validity bitmap, in this package's
+	// layout: byte i is valid when bit i%8 of entry i/8 is set.
+	PageValid(addr uint32) []byte
+}
+
+// MemFrom returns a copy of img: every populated page's data and
+// per-byte write validity, so bytes img never had written stay
+// undefined and both models' strict modes see one validity map.
+func MemFrom(img Image) *Mem {
+	m := NewMem()
+	for _, pa := range img.PageAddrs() {
+		p := m.page(pa, true)
+		copy(p.data[:], img.PageBytes(pa))
+		copy(p.valid[:], img.PageValid(pa))
+	}
+	return m
+}
+
 // ByteAt returns the byte at addr (zero when never written).
 func (m *Mem) ByteAt(addr uint32) byte {
 	if p := m.page(addr, false); p != nil {

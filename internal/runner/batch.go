@@ -25,21 +25,23 @@ type JobResult struct {
 }
 
 // Batch is the concurrent matrix executor: it runs every job through
-// RunContext on a bounded worker pool, memoizing compilations in an
-// artifact cache and aggregating results in job order.
+// RunContext on a bounded worker pool, building each (workload,
+// target) spec and artifact once in a Cache and aggregating results in
+// job order.
 //
-// Determinism: the simulator is deterministic and every run is fully
-// isolated (own spec instance, own memory image, own machine, own
-// telemetry sink), so the Parallel setting changes wall-clock time and
-// nothing else — results are identical to a serial run of the same
-// jobs, which the bench golden test asserts byte-for-byte.
+// Determinism: the simulator is deterministic, the spec and artifact a
+// job runs are immutable values shared through the cache, and every run
+// owns the rest (its memory image, machine and telemetry sink), so the
+// Parallel setting changes wall-clock time and nothing else — results
+// are identical to a serial run of the same jobs, which the bench
+// golden test asserts byte-for-byte.
 type Batch struct {
-	// Params scales the workloads (specs are built per run via
-	// workloads.ByName, never shared between runs).
+	// Params scales the workloads.
 	Params workloads.Params
 	// Parallel bounds concurrent runs; <=0 selects GOMAXPROCS.
 	Parallel int
-	// Cache memoizes compile artifacts; nil allocates a private one.
+	// Cache memoizes specs and compile artifacts; nil allocates a
+	// private one.
 	Cache *Cache
 	// Options apply to every run of the batch.
 	Options []Option
@@ -97,19 +99,14 @@ func (b *Batch) Run(ctx context.Context, jobs []Job) []JobResult {
 	return results
 }
 
-// runOne executes a single job: artifact from the cache, a fresh spec
-// instance for the run's private memory image and check state. A job a
-// worker picks up after cancellation is marked canceled without
-// compiling or simulating anything.
+// runOne executes a single job on the cached spec and artifact of its
+// key. A job a worker picks up after cancellation is marked canceled
+// without compiling or simulating anything.
 func (b *Batch) runOne(ctx context.Context, cache *Cache, j Job) JobResult {
 	if err := ctx.Err(); err != nil {
 		return JobResult{Job: j, Err: fmt.Errorf("batch: job canceled before start: %w", err)}
 	}
-	art, err := cache.Artifact(j.Workload, b.Params, j.Target)
-	if err != nil {
-		return JobResult{Job: j, Err: err}
-	}
-	w, err := workloads.ByName(j.Workload, b.Params)
+	w, art, _, err := cache.Lookup(j.Workload, b.Params, j.Target)
 	if err != nil {
 		return JobResult{Job: j, Err: err}
 	}

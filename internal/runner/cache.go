@@ -18,11 +18,12 @@ type cacheKey struct {
 	target config.Target
 }
 
-// cacheEntry memoizes one compilation. The once gives singleflight
-// semantics: concurrent requests for the same key share a single
-// compile instead of duplicating the work.
+// cacheEntry memoizes one compilation and the spec it was compiled
+// from. The once gives singleflight semantics: concurrent requests for
+// the same key share a single build instead of duplicating the work.
 type cacheEntry struct {
 	once sync.Once
+	spec *workloads.Spec
 	art  *Artifact
 	err  error
 }
@@ -34,13 +35,12 @@ type CacheStats struct {
 	Failures int64 // entries whose compile failed (counted once per key)
 }
 
-// Cache memoizes compile artifacts by (workload name, params, target).
-// Workload construction is deterministic — virtual register numbering,
-// scheduling and encoding depend only on the key — so an artifact
-// compiled from one spec instance is valid for every other instance
-// built from the same name and params (asserted by TestCompileDeterministic).
-// The zero value is not usable; use NewCache. All methods are safe for
-// concurrent use.
+// Cache memoizes workload specs and their compile artifacts by
+// (workload name, params, target). Both are immutable values: one
+// cached spec and artifact back every run of their key, concurrent
+// runs included, and each run still owns its image, machine and
+// telemetry. The zero value is not usable; use NewCache. All methods
+// are safe for concurrent use.
 type Cache struct {
 	mu       sync.Mutex
 	entries  map[cacheKey]*cacheEntry
@@ -54,19 +54,12 @@ func NewCache() *Cache {
 	return &Cache{entries: make(map[cacheKey]*cacheEntry)}
 }
 
-// Artifact returns the memoized compilation of the named workload for
-// the target, compiling at most once per key. The returned artifact is
-// shared and immutable.
-func (c *Cache) Artifact(name string, p workloads.Params, t config.Target) (*Artifact, error) {
-	art, _, err := c.ArtifactHit(name, p, t)
-	return art, err
-}
-
-// ArtifactHit is Artifact plus the per-call hit signal: hit is true
-// when the lookup was served by an existing (completed or in-flight)
-// entry, false when this call created the entry and ran the compile.
-// The request span trees annotate the compile stage with it.
-func (c *Cache) ArtifactHit(name string, p workloads.Params, t config.Target) (art *Artifact, hit bool, err error) {
+// Lookup returns the named workload's spec and its compilation for
+// the target, building both at most once per key. hit is true when the
+// lookup was served by an existing (completed or in-flight) entry,
+// false when this call created the entry and ran the build; the
+// service's request span trees annotate the compile stage with it.
+func (c *Cache) Lookup(name string, p workloads.Params, t config.Target) (w *workloads.Spec, art *Artifact, hit bool, err error) {
 	key := cacheKey{name: name, params: p, target: t}
 	c.mu.Lock()
 	e, ok := c.entries[key]
@@ -80,21 +73,19 @@ func (c *Cache) ArtifactHit(name string, p workloads.Params, t config.Target) (a
 	c.mu.Unlock()
 
 	e.once.Do(func() {
-		w, err := workloads.ByName(name, p)
-		if err != nil {
-			e.err = err
-			return
+		e.spec, e.err = workloads.ByName(name, p)
+		if e.err == nil {
+			e.art, e.err = CompileWorkload(e.spec, t)
 		}
-		e.art, e.err = CompileWorkload(w, t)
 	})
-	// once.Do returns only after the compile completed, so e.err is
+	// once.Do returns only after the build completed, so e.err is
 	// stable here for every caller; the creator records the failure.
 	if !ok && e.err != nil {
 		c.mu.Lock()
 		c.failures++
 		c.mu.Unlock()
 	}
-	return e.art, ok, e.err
+	return e.spec, e.art, ok, e.err
 }
 
 // Stats returns the cache's hit/miss counts.

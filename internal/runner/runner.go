@@ -3,12 +3,13 @@
 // RunContext or as a concurrent batch via Batch.
 //
 // The design is instance-scoped throughout — every run gets its own
-// memory image, machine and telemetry sink, and compile artifacts are
-// immutable — so any number of runs may proceed concurrently without
-// shared mutable state. Batch adds bounded parallelism, a compile-
-// artifact cache memoizing Compile by (workload, params, target), and
-// deterministic ordered aggregation: results come back in job order,
-// making a parallel batch byte-identical to a serial one.
+// memory image, machine and telemetry sink, and workload specs and
+// compile artifacts are immutable — so any number of runs may proceed
+// concurrently without shared mutable state. Batch adds bounded
+// parallelism, a cache building each spec and artifact once per
+// (workload, params, target), and deterministic ordered aggregation:
+// results come back in job order, making a parallel batch
+// byte-identical to a serial one.
 package runner
 
 import (
@@ -41,9 +42,6 @@ type Telemetry struct {
 	// EnableProfile was set).
 	Profile *telemetry.Profile
 
-	// Registry is the machine's unified counter registry (output).
-	Registry *telemetry.Registry
-
 	// Snapshot is the point-in-time counter dump taken when the run
 	// finished or trapped (output).
 	Snapshot telemetry.Snapshot
@@ -61,10 +59,9 @@ type Options struct {
 	// Telemetry, when non-nil, is the run's observability sink.
 	Telemetry *Telemetry
 	// Artifact, when non-nil, skips compilation and loads the machine
-	// from this precompiled build product (the batch cache path). The
-	// artifact must come from the same workload construction — virtual
-	// register numbering is deterministic, so any spec built by the
-	// same name and params matches.
+	// from this precompiled build product (the cache path). It must be
+	// the compilation of the run's spec, or of a spec built by the same
+	// name and params: construction is deterministic, so the two match.
 	Artifact *Artifact
 	// Setup, when non-nil, runs against the constructed machine before
 	// execution (issue tracing, fault injection).
@@ -87,7 +84,9 @@ func WithVerify(on bool) Option { return func(o *Options) { o.Verify = on } }
 // WithTelemetry attaches a per-run observability sink.
 func WithTelemetry(t *Telemetry) Option { return func(o *Options) { o.Telemetry = t } }
 
-// WithArtifact runs a precompiled artifact instead of compiling.
+// WithArtifact runs a precompiled artifact instead of compiling. The
+// artifact is read-only, so any number of concurrent runs may share it
+// (and the spec it was compiled from); Cache.Lookup returns the pair.
 func WithArtifact(a *Artifact) Option { return func(o *Options) { o.Artifact = a } }
 
 // WithMachineSetup registers a pre-run hook on the machine.
@@ -176,8 +175,7 @@ func RunContext(ctx context.Context, w *workloads.Spec, t config.Target, opts ..
 	runErr := ld.RunContext(ctx)
 	res.Stats = m.Stats
 	if o.Telemetry != nil {
-		o.Telemetry.Registry = m.Registry()
-		o.Telemetry.Snapshot = o.Telemetry.Registry.Snapshot()
+		o.Telemetry.Snapshot = m.Registry().Snapshot()
 	}
 	if runErr != nil {
 		return res, fmt.Errorf("%s on %s: %w", w.Name, t.Name, runErr)

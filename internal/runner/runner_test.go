@@ -107,7 +107,7 @@ func TestRunContextWatchdog(t *testing.T) {
 	if res == nil || res.Stats.Instrs == 0 {
 		t.Fatal("trapped run must return partial stats")
 	}
-	if sink.Registry == nil || len(sink.Snapshot) == 0 {
+	if len(sink.Snapshot) == 0 {
 		t.Error("telemetry sink not filled on trap")
 	}
 	if got := sink.Snapshot.Get("sim.cycles"); got != res.Stats.Cycles {
@@ -155,28 +155,29 @@ func TestCompileDeterministic(t *testing.T) {
 }
 
 // TestCacheSingleflight: concurrent lookups of one key share a single
-// compile and a single artifact.
+// build: one spec and one artifact.
 func TestCacheSingleflight(t *testing.T) {
 	c := runner.NewCache()
 	const callers = 16
+	specs := make([]*workloads.Spec, callers)
 	arts := make([]*runner.Artifact, callers)
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			a, err := c.Artifact("memcpy", workloads.Small(), config.ConfigD())
+			w, a, _, err := c.Lookup("memcpy", workloads.Small(), config.ConfigD())
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			arts[i] = a
+			specs[i], arts[i] = w, a
 		}(i)
 	}
 	wg.Wait()
 	for i := 1; i < callers; i++ {
-		if arts[i] != arts[0] {
-			t.Fatal("cache returned distinct artifacts for one key")
+		if specs[i] != specs[0] || arts[i] != arts[0] {
+			t.Fatal("cache returned distinct specs or artifacts for one key")
 		}
 	}
 	s := c.Stats()
@@ -193,15 +194,15 @@ func TestCacheSingleflight(t *testing.T) {
 func TestCacheKeying(t *testing.T) {
 	c := runner.NewCache()
 	small, full := workloads.Small(), workloads.Full()
-	a1, err := c.Artifact("memcpy", small, config.ConfigD())
+	_, a1, _, err := c.Lookup("memcpy", small, config.ConfigD())
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := c.Artifact("memcpy", small, config.ConfigA())
+	_, a2, _, err := c.Lookup("memcpy", small, config.ConfigA())
 	if err != nil {
 		t.Fatal(err)
 	}
-	a3, err := c.Artifact("memcpy", full, config.ConfigD())
+	_, a3, _, err := c.Lookup("memcpy", full, config.ConfigD())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,10 +218,10 @@ func TestCacheKeying(t *testing.T) {
 // the same error on every lookup, no recompilation storm.
 func TestCacheFailure(t *testing.T) {
 	c := runner.NewCache()
-	if _, err := c.Artifact("no_such_workload", workloads.Small(), config.ConfigD()); err == nil {
+	if _, _, _, err := c.Lookup("no_such_workload", workloads.Small(), config.ConfigD()); err == nil {
 		t.Fatal("unknown workload compiled")
 	}
-	if _, err := c.Artifact("no_such_workload", workloads.Small(), config.ConfigD()); err == nil {
+	if _, _, _, err := c.Lookup("no_such_workload", workloads.Small(), config.ConfigD()); err == nil {
 		t.Fatal("memoized failure lost its error")
 	}
 	if s := c.Stats(); s.Misses != 1 || s.Hits != 1 || s.Failures != 1 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -266,14 +267,15 @@ func parseParams(name string) (workloads.Params, string, error) {
 	return workloads.Params{}, "", fmt.Errorf("unknown params %q (want small or full)", name)
 }
 
-// CreateSession validates the request, compiles the workload once (the
-// schedulability check; the artifact lands in the shared cache every
-// run then hits) and registers the session. It fails with ErrShed when
-// the session table is full.
+// CreateSession validates the request, builds and compiles the
+// workload once (the schedulability check; the spec and artifact land
+// in the shared cache, and every run of the session reuses both) and
+// registers the session. It fails with ErrShed when the session table
+// is full.
 func (s *Server) CreateSession(req CreateSessionRequest) (*SessionInfo, error) {
-	w, ok := knownWorkload(req.Workload)
-	if !ok {
-		return nil, &APIError{Code: 400, Msg: fmt.Sprintf("unknown workload %q", req.Workload)}
+	w := req.Workload
+	if !slices.Contains(workloads.Names(), w) {
+		return nil, &APIError{Code: 400, Msg: fmt.Sprintf("unknown workload %q", w)}
 	}
 	params, paramsName, err := parseParams(req.Params)
 	if err != nil {
@@ -288,7 +290,7 @@ func (s *Server) CreateSession(req CreateSessionRequest) (*SessionInfo, error) {
 	if err != nil {
 		return nil, &APIError{Code: 400, Msg: err.Error()}
 	}
-	if _, err := s.cache.Artifact(w, params, target); err != nil {
+	if _, _, _, err := s.cache.Lookup(w, params, target); err != nil {
 		return nil, &APIError{Code: 400,
 			Msg: fmt.Sprintf("%s does not build for %s: %v", w, target.Name, err)}
 	}
@@ -321,16 +323,6 @@ func (s *Server) CreateSession(req CreateSessionRequest) (*SessionInfo, error) {
 	s.mu.Unlock()
 	s.c.sessionsCreated.Add(1)
 	return sess.info(), nil
-}
-
-// knownWorkload resolves a registry name without building a spec.
-func knownWorkload(name string) (string, bool) {
-	for _, n := range workloads.Names() {
-		if n == name {
-			return n, true
-		}
-	}
-	return "", false
 }
 
 // session looks a live session up.
@@ -620,14 +612,9 @@ func (s *Server) execute(sess *Session, req RunRequest, seq int64, ri *requestIn
 	ctx, cancel := context.WithTimeout(sess.ctx, deadline)
 	defer cancel()
 
-	w, err := workloads.ByName(sess.workload, sess.params)
-	if err != nil {
-		rep.Status, rep.Error = StatusError, err.Error()
-		return rep
-	}
 	cSpan := ri.Span().StartChild("compile")
 	compileStart := time.Now()
-	art, hit, err := s.cache.ArtifactHit(sess.workload, sess.params, sess.target)
+	w, art, hit, err := s.cache.Lookup(sess.workload, sess.params, sess.target)
 	cSpan.Annotate("cache_hit", hit)
 	cSpan.End()
 	s.lat.compile.Observe(time.Since(compileStart))

@@ -68,14 +68,23 @@ func (l *LCG) Intn(n int) int { return int(l.Next() % uint32(n)) }
 // gradient with texture noise, so SAD searches and filters behave
 // non-degenerately.
 func FillTestPattern(m *mem.Func, f Frame, seed uint32) {
+	pix := TestPattern(f, seed)
+	for y := 0; y < f.H; y++ {
+		m.WriteBytes(f.Base+uint32(y*f.Stride), pix[y*f.Stride:y*f.Stride+f.W])
+	}
+}
+
+// TestPattern returns the pixels FillTestPattern writes into f, laid
+// out like the frame (pixel (x, y) at index y*Stride+x).
+func TestPattern(f Frame, seed uint32) []byte {
+	pix := make([]byte, f.Bytes())
 	rng := NewLCG(seed)
 	for y := 0; y < f.H; y++ {
 		for x := 0; x < f.W; x++ {
-			v := (x*3 + y*7) & 0xff
-			v = (v + rng.Intn(32)) & 0xff
-			m.SetByte(f.Addr(x, y), byte(v))
+			pix[y*f.Stride+x] = byte(x*3 + y*7 + rng.Intn(32))
 		}
 	}
+	return pix
 }
 
 // Checksum folds a frame into a 32-bit FNV-style digest.

@@ -42,8 +42,6 @@ func Mpeg2Super(p Params) (*Spec, error) {
 func mpeg2Spec(p Params, s mpeg2.Stream) (*Spec, error) { return mpeg2SpecOpt(p, s, false) }
 
 func mpeg2SpecOpt(p Params, s mpeg2.Stream, useSuper bool) (*Spec, error) {
-	var layout *mpeg2.Layout
-	var initRef *mpeg2.ExpectedFrames
 	pr, args, err := buildMpeg2KernelOpt(p, useSuper)
 	if err != nil {
 		return nil, fmt.Errorf("workloads: %s: %w", s.Name, err)
@@ -59,20 +57,14 @@ func mpeg2SpecOpt(p Params, s mpeg2.Stream, useSuper bool) (*Spec, error) {
 		Args:        args,
 		Regions:     mpeg2Regions(lay, p),
 		Init: func(m *mem.Func) error {
-			l, err := mpeg2.Build(m, p.Mpeg2W, p.Mpeg2H, s)
-			if err != nil {
+			if _, err := mpeg2.Build(m, p.Mpeg2W, p.Mpeg2H, s); err != nil {
 				return fmt.Errorf("workloads: %s init: %w", s.Name, err)
 			}
-			layout = l
-			initRef = mpeg2.SnapshotRef(m, l)
 			return nil
 		},
 		Check: func(m *mem.Func) error {
-			if layout == nil {
-				return fmt.Errorf("workloads: %s: Check before Init", s.Name)
-			}
-			want := mpeg2.Expected(initRef, m, layout, frames(p))
-			yb, cbb, crb := layout.FinalBases(frames(p))
+			want := mpeg2.Expected(mpeg2.InitialRef(lay, s), m, lay, frames(p))
+			yb, cbb, crb := lay.FinalBases(frames(p))
 			if err := checkRegion(m, yb, want.Y, s.Name+" luma"); err != nil {
 				return err
 			}

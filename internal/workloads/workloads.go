@@ -14,7 +14,11 @@ import (
 	"tm3270/internal/prog"
 )
 
-// Spec is one runnable workload instance.
+// Spec is one workload: its kernel program, fixed inputs and output
+// check. A Spec is an immutable value. Init and Check keep no state
+// between calls (everything a run produces lives in the image they are
+// handed), so one Spec may back any number of concurrent runs, each
+// with its own image.
 type Spec struct {
 	Name        string
 	Description string
@@ -24,7 +28,8 @@ type Spec struct {
 	Init func(m *mem.Func) error
 	// Args are the kernel argument registers.
 	Args map[prog.VReg]uint32
-	// Check validates the outputs against the Go reference.
+	// Check validates the outputs in m against the Go reference. It
+	// reads only m and the spec's construction-time values.
 	Check func(m *mem.Func) error
 	// TM3270Only marks workloads using ISA extensions that the TM3260
 	// cannot schedule (Table 3 / ablations).
@@ -192,76 +197,68 @@ func pack16(hi, lo int16) uint32 {
 	return uint32(uint16(hi))<<16 | uint32(uint16(lo))
 }
 
-// ByName builds a workload by its registry name. Besides the Table 5
-// set, the registry exposes the CABAC fields of Table 3, the MP3-shaped
-// power workload, the Figure 3 block walk and the motion-estimation
-// ablation variants.
+// registry is the ordered table of workload constructors; ByName and
+// Names both read it, so the two cannot disagree. Besides the Table 5
+// set, it holds the CABAC fields of Table 3, the MP3-shaped power
+// workload, the Figure 3 block walk and the motion-estimation ablation
+// variants.
+var registry = []struct {
+	name  string
+	build func(Params) (*Spec, error)
+}{
+	{"memset", infallible(Memset)},
+	{"memcpy", infallible(Memcpy)},
+	{"filter", infallible(Filter)},
+	{"rgb2yuv", infallible(RGB2YUV)},
+	{"rgb2cmyk", infallible(RGB2CMYK)},
+	{"rgb2yiq", infallible(RGB2YIQ)},
+	{"mpeg2_a", Mpeg2A},
+	{"mpeg2_b", Mpeg2B},
+	{"mpeg2_c", Mpeg2C},
+	{"mpeg2_super", Mpeg2Super},
+	{"filmdet", infallible(FilmDet)},
+	{"majority_sel", infallible(MajoritySel)},
+	{"mp3_synth", infallible(MP3Synth)},
+	{"blockwalk", infallible(func(p Params) *Spec { return BlockWalk(p, false) })},
+	{"blockwalk_pf", infallible(func(p Params) *Spec { return BlockWalk(p, true) })},
+	{"upconv", infallible(func(p Params) *Spec { return Upconv(p, false) })},
+	{"upconv_pf", infallible(func(p Params) *Spec { return Upconv(p, true) })},
+	{"cabac_ref_i", infallible(func(p Params) *Spec { return CABACRef(FieldI(p.CabacIBits)) })},
+	{"cabac_ref_p", infallible(func(p Params) *Spec { return CABACRef(FieldP(p.CabacPBits)) })},
+	{"cabac_ref_b", infallible(func(p Params) *Spec { return CABACRef(FieldB(p.CabacBBits)) })},
+	{"cabac_opt_i", infallible(func(p Params) *Spec { return CABACOpt(FieldI(p.CabacIBits)) })},
+	{"cabac_opt_p", infallible(func(p Params) *Spec { return CABACOpt(FieldP(p.CabacPBits)) })},
+	{"cabac_opt_b", infallible(func(p Params) *Spec { return CABACOpt(FieldB(p.CabacBBits)) })},
+	{"me_ref", infallible(func(p Params) *Spec { return MotionEst(MEParams{W: p.ImageW, H: p.ImageH}) })},
+	{"me_frac8", infallible(func(p Params) *Spec {
+		return MotionEst(MEParams{W: p.ImageW, H: p.ImageH, UseFrac8: true})
+	})},
+	{"me_frac8_pf", infallible(func(p Params) *Spec {
+		return MotionEst(MEParams{W: p.ImageW, H: p.ImageH, UseFrac8: true, Prefetch: true})
+	})},
+}
+
+// infallible adapts a constructor that cannot fail to the registry's
+// signature.
+func infallible(build func(Params) *Spec) func(Params) (*Spec, error) {
+	return func(p Params) (*Spec, error) { return build(p), nil }
+}
+
+// ByName builds a workload by its registry name.
 func ByName(name string, p Params) (*Spec, error) {
-	switch name {
-	case "memset":
-		return Memset(p), nil
-	case "memcpy":
-		return Memcpy(p), nil
-	case "filter":
-		return Filter(p), nil
-	case "rgb2yuv":
-		return RGB2YUV(p), nil
-	case "rgb2cmyk":
-		return RGB2CMYK(p), nil
-	case "rgb2yiq":
-		return RGB2YIQ(p), nil
-	case "mpeg2_a":
-		return Mpeg2A(p)
-	case "mpeg2_b":
-		return Mpeg2B(p)
-	case "mpeg2_c":
-		return Mpeg2C(p)
-	case "mpeg2_super":
-		return Mpeg2Super(p)
-	case "filmdet":
-		return FilmDet(p), nil
-	case "majority_sel":
-		return MajoritySel(p), nil
-	case "mp3_synth":
-		return MP3Synth(p), nil
-	case "blockwalk":
-		return BlockWalk(p, false), nil
-	case "blockwalk_pf":
-		return BlockWalk(p, true), nil
-	case "upconv":
-		return Upconv(p, false), nil
-	case "upconv_pf":
-		return Upconv(p, true), nil
-	case "cabac_ref_i":
-		return CABACRef(FieldI(p.CabacIBits)), nil
-	case "cabac_ref_p":
-		return CABACRef(FieldP(p.CabacPBits)), nil
-	case "cabac_ref_b":
-		return CABACRef(FieldB(p.CabacBBits)), nil
-	case "cabac_opt_i":
-		return CABACOpt(FieldI(p.CabacIBits)), nil
-	case "cabac_opt_p":
-		return CABACOpt(FieldP(p.CabacPBits)), nil
-	case "cabac_opt_b":
-		return CABACOpt(FieldB(p.CabacBBits)), nil
-	case "me_ref":
-		return MotionEst(MEParams{W: p.ImageW, H: p.ImageH}), nil
-	case "me_frac8":
-		return MotionEst(MEParams{W: p.ImageW, H: p.ImageH, UseFrac8: true}), nil
-	case "me_frac8_pf":
-		return MotionEst(MEParams{W: p.ImageW, H: p.ImageH, UseFrac8: true, Prefetch: true}), nil
+	for _, e := range registry {
+		if e.name == name {
+			return e.build(p)
+		}
 	}
 	return nil, fmt.Errorf("workloads: unknown workload %q (see Names)", name)
 }
 
-// Names lists every registry name.
+// Names lists every registry name in registry order.
 func Names() []string {
-	return []string{
-		"memset", "memcpy", "filter", "rgb2yuv", "rgb2cmyk", "rgb2yiq",
-		"mpeg2_a", "mpeg2_b", "mpeg2_c", "mpeg2_super", "filmdet", "majority_sel",
-		"mp3_synth", "blockwalk", "blockwalk_pf", "upconv", "upconv_pf",
-		"cabac_ref_i", "cabac_ref_p", "cabac_ref_b",
-		"cabac_opt_i", "cabac_opt_p", "cabac_opt_b",
-		"me_ref", "me_frac8", "me_frac8_pf",
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
 	}
+	return names
 }

@@ -3,6 +3,7 @@ package workloads_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"tm3270/internal/config"
@@ -380,5 +381,28 @@ func BenchmarkCheck(b *testing.B) {
 		if err := w.Check(image); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestRegistry: every registry name is unique and builds a spec of
+// that name (the CABAC specs capitalize their field letter), and an
+// unknown name is an error.
+func TestRegistry(t *testing.T) {
+	seen := map[string]bool{}
+	for _, name := range workloads.Names() {
+		if seen[name] {
+			t.Errorf("%s registered twice", name)
+		}
+		seen[name] = true
+		w, err := workloads.ByName(name, workloads.Small())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.EqualFold(w.Name, name) {
+			t.Errorf("ByName(%q) built a spec named %q", name, w.Name)
+		}
+	}
+	if _, err := workloads.ByName("no_such_workload", workloads.Small()); err == nil {
+		t.Error("unknown workload built")
 	}
 }

@@ -88,7 +88,7 @@ type Result = runner.Result
 
 // Telemetry is the per-run observability sink injected via
 // WithTelemetry: the caller arms an event trace and/or the profile,
-// the run fills the counter registry and snapshot. Instance-scoped by
+// the run fills the counter snapshot. Instance-scoped by
 // construction, so concurrent runs cannot race on shared telemetry.
 type Telemetry = runner.Telemetry
 
@@ -136,8 +136,9 @@ type BatchJob = runner.Job
 // BatchResult pairs a BatchJob with its outcome.
 type BatchResult = runner.JobResult
 
-// ArtifactCache memoizes Compile by (workload, params, target); share
-// one across Batches to stop identical programs from recompiling.
+// ArtifactCache builds each workload spec and its compile artifact once
+// per (workload, params, target); share one across Batches to stop
+// identical programs from rebuilding and recompiling.
 type ArtifactCache = runner.Cache
 
 // NewArtifactCache returns an empty compile-artifact cache.
