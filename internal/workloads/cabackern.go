@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"strings"
 
 	"tm3270/internal/cabac"
 	"tm3270/internal/mem"
@@ -121,7 +122,8 @@ func (f FieldType) install(m *mem.Func, d *cabacData) {
 // decoder maintenance. This version re-compiles for the TM3260.
 func CABACRef(f FieldType) *Spec {
 	d := generate(f)
-	b := prog.NewBuilder("cabac_ref_" + f.Name)
+	name := "cabac_ref_" + strings.ToLower(f.Name)
+	b := prog.NewBuilder(name)
 
 	streamPtr, seqPtr, bitsPtr := b.Reg(), b.Reg(), b.Reg()
 	lpsBase, mpsnB, lpsnB, ctxB, maintB := b.Reg(), b.Reg(), b.Reg(), b.Reg(), b.Reg()
@@ -223,7 +225,7 @@ func CABACRef(f FieldType) *Spec {
 	pr := b.MustProgram()
 
 	return &Spec{
-		Name:        "cabac_ref_" + f.Name,
+		Name:        name,
 		Description: "CABAC decode, base ISA (field type " + f.Name + ")",
 		Prog:        pr,
 		Args: map[prog.VReg]uint32{
@@ -242,7 +244,8 @@ func CABACRef(f FieldType) *Spec {
 // context discipline and maintenance as CABACRef.
 func CABACOpt(f FieldType) *Spec {
 	d := generate(f)
-	b := prog.NewBuilder("cabac_opt_" + f.Name)
+	name := "cabac_opt_" + strings.ToLower(f.Name)
+	b := prog.NewBuilder(name)
 
 	streamPtr, seqPtr, bitsPtr, ctxB, maintB := b.Reg(), b.Reg(), b.Reg(), b.Reg(), b.Reg()
 	n := b.Reg()
@@ -298,7 +301,7 @@ func CABACOpt(f FieldType) *Spec {
 	pr := b.MustProgram()
 
 	return &Spec{
-		Name:        "cabac_opt_" + f.Name,
+		Name:        name,
 		Description: "CABAC decode, SUPER_CABAC operations (field type " + f.Name + ")",
 		Prog:        pr,
 		TM3270Only:  true,

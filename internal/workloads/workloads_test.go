@@ -3,7 +3,6 @@ package workloads_test
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 
 	"tm3270/internal/config"
@@ -385,8 +384,7 @@ func BenchmarkCheck(b *testing.B) {
 }
 
 // TestRegistry: every registry name is unique and builds a spec of
-// that name (the CABAC specs capitalize their field letter), and an
-// unknown name is an error.
+// exactly that name, and an unknown name is an error.
 func TestRegistry(t *testing.T) {
 	seen := map[string]bool{}
 	for _, name := range workloads.Names() {
@@ -398,7 +396,7 @@ func TestRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.EqualFold(w.Name, name) {
+		if w.Name != name {
 			t.Errorf("ByName(%q) built a spec named %q", name, w.Name)
 		}
 	}
