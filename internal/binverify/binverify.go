@@ -229,13 +229,19 @@ type verifier struct {
 	entryDefined regSet
 
 	// Semantic-layer results (nil/empty until the passes run).
-	idom   []int         // immediate dominator of each reachable node (entry: itself)
-	rpo    []int         // reverse-postorder number of each node (-1: unreachable)
-	loops  []*loop       // natural loops, merged by header
-	ranges []*rangeState // per-node register intervals at entry (nil: top)
+	idom  []int   // immediate dominator of each reachable node (entry: itself)
+	rpo   []int   // reverse-postorder number of each node (-1: unreachable)
+	loops []*loop // natural loops, merged by header
+
+	// Straight-line chains of the range fixpoint (see buildChains).
+	leaders []int   // first node of each chain, in node order
+	next    []int32 // the node after i in its chain (-1: chain tail or unreachable)
+	chainOf []int32 // the chain holding node i (-1: unreachable)
+
+	ranges []*rangeState // register intervals at each leader's entry (nil: top)
 	slab   []rangeState  // backing store of ranges, shared by both range passes
 
-	rangeCap     int  // worklist iterations before a range pass gives up
+	rangeCap     int  // instruction visits before a range pass gives up
 	rangesCapped bool // a range pass gave up: v.ranges is all top
 }
 
@@ -273,8 +279,10 @@ func (v *verifier) semantic() {
 	v.buildPreds()
 	v.dominators()
 	v.findLoops()
-	v.rangeFixpoint(nil)                  // widen induction candidates to top
-	v.inferLoopBounds()                   // needs entry-edge intervals from the first pass
+	v.buildChains()
+	v.rangeFixpoint(nil) // widen induction candidates to top
+	v.joinLoopEntries()  // entry-edge states from the first pass
+	v.inferLoopBounds()
 	v.rangeFixpoint(v.boundedWidenings()) // re-run with per-loop clamps
 	v.checkRanges()
 	v.checkLoopBounds()

@@ -7,6 +7,7 @@ import (
 	"tm3270/internal/config"
 	"tm3270/internal/encode"
 	"tm3270/internal/isa"
+	"tm3270/internal/prog"
 	"tm3270/internal/regalloc"
 	"tm3270/internal/sched"
 	"tm3270/internal/workloads"
@@ -84,21 +85,9 @@ var r2, r3, r4, r5, r10, r11, r12, r13, r14, r15 = isa.Reg(2), isa.Reg(3),
 // callers, rebuilt here because the runner package imports this one.
 func compileWorkload(t *testing.T, w *workloads.Spec, tgt config.Target) ([]encode.DecInstr, *Options, error) {
 	t.Helper()
-	code, err := sched.Schedule(w.Prog, tgt)
+	code, rm, enc, dec, err := compileProgram(t, w.Prog, tgt)
 	if err != nil {
 		return nil, nil, err
-	}
-	rm, err := regalloc.Allocate(w.Prog)
-	if err != nil {
-		t.Fatalf("regalloc: %v", err)
-	}
-	enc, err := encode.Encode(code, rm, testBase)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	dec, err := encode.Decode(enc.Bytes, testBase, len(code.Instrs))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
 	}
 	opts := &Options{EntryValues: map[isa.Reg]uint32{}, MemMap: w.Regions}
 	for v, val := range w.Args {
@@ -114,6 +103,29 @@ func compileWorkload(t *testing.T, w *workloads.Spec, tgt config.Target) ([]enco
 		}
 	}
 	return dec, opts, nil
+}
+
+// compileProgram schedules, allocates, encodes and decodes a program;
+// the error is the scheduler's.
+func compileProgram(t *testing.T, p *prog.Program, tgt config.Target) (*sched.Code, *regalloc.Map, *encode.Encoded, []encode.DecInstr, error) {
+	t.Helper()
+	code, err := sched.Schedule(p, tgt)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	rm, err := regalloc.Allocate(p)
+	if err != nil {
+		t.Fatalf("regalloc: %v", err)
+	}
+	enc, err := encode.Encode(code, rm, testBase)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	dec, err := encode.Decode(enc.Bytes, testBase, len(code.Instrs))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	return code, rm, enc, dec, nil
 }
 
 // TestWorkloadsVerifyClean is the acceptance gate: every shipped

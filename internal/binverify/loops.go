@@ -21,6 +21,11 @@ type loop struct {
 
 	irreducible bool // marks the synthetic "irreducible cycle" record
 
+	// The join of the first-pass range states on the loop's entry edges
+	// (see joinLoopEntries); entryKnown is false when it is top.
+	entry      rangeState
+	entryKnown bool
+
 	// In-loop writes per register, from one scan of the body (see
 	// scanWrites): how many operations write it, and the last of them.
 	writes [isa.NumRegs]int
@@ -217,6 +222,8 @@ func (v *verifier) inferBound(l *loop) (int64, bool) {
 	} else {
 		// Register form: either operand may be the counter; the other
 		// must be loop-invariant with a known interval at the compare.
+		var buf rangeState
+		at := v.rangeAt(cmpIdx, &buf)
 		for side := 0; side < 2; side++ {
 			reg, other := cmpOp.srcs[side], cmpOp.srcs[1-side]
 			rel := k
@@ -226,7 +233,7 @@ func (v *verifier) inferBound(l *loop) (int64, bool) {
 			if l.writes[other] > 0 {
 				continue
 			}
-			if limit, ok := v.ranges[cmpIdx].get(other); ok && limit.valid() {
+			if limit, ok := at.get(other); ok && limit.valid() {
 				cands = append(cands, candidate{reg, rel, limit})
 			}
 		}
@@ -345,42 +352,77 @@ func (l *loop) inductionStep(reg isa.Reg) (int64, bool) {
 	return step, true
 }
 
-// loopEntryInterval joins reg's interval over the loop's entry edges
-// (predecessors of the header outside the body), using the first-pass
-// range states.
-func (v *verifier) loopEntryInterval(reg isa.Reg, l *loop) (interval, bool) {
-	var e interval
-	have := false
-	join := func(iv interval, ok bool) bool {
-		if !ok {
-			return false
-		}
-		if have {
-			e = hull(e, iv)
-		} else {
-			e, have = iv, true
-		}
-		return true
-	}
-	if l.header == 0 {
-		if !join(v.entryRangeState().get(reg)) {
-			return interval{}, false
-		}
-	}
-	var out rangeState
-	for _, p := range v.preds[l.header] {
-		if l.body.has(p) || !v.reach[p] {
+// joinLoopEntries sets every loop's entry state: the join of the exit
+// states of the header's predecessors outside the body, and of the seed
+// state when the header is node 0, from the first-pass range states.
+// It runs once between the passes, because boundedWidenings asks about
+// every register of every loop; each chain holding such a predecessor
+// is replayed once, up to its last one.
+func (v *verifier) joinLoopEntries() {
+	want := map[int]bool{}
+	left := map[int32]int{} // wanted predecessors per chain
+	for _, l := range v.loops {
+		if l.irreducible {
 			continue
 		}
-		if v.ranges[p] == nil {
-			return interval{}, false // top: the range pass gave up
-		}
-		v.transferRanges(p, v.ranges[p], &out, nil)
-		if !join(out.get(reg)) {
-			return interval{}, false
+		for _, p := range v.preds[l.header] {
+			if !l.body.has(p) && v.reach[p] && !want[p] {
+				want[p] = true
+				left[v.chainOf[p]]++
+			}
 		}
 	}
-	if !have || !e.valid() {
+	exits := make(map[int]*rangeState, len(want))
+	for c, k := range left {
+		if v.ranges[c] == nil {
+			continue // top: the range pass gave up
+		}
+		st := *v.ranges[c]
+		for i := v.leaders[c]; k > 0; i = int(v.next[i]) {
+			v.stepRanges(i, &st)
+			if want[i] {
+				exit := st
+				exits[i] = &exit
+				k--
+			}
+		}
+	}
+
+	var log []regChange
+	for _, l := range v.loops {
+		if l.irreducible {
+			continue
+		}
+		have, known := false, true
+		if l.header == 0 {
+			l.entry, have = *v.entryRangeState(), true
+		}
+		for _, p := range v.preds[l.header] {
+			if l.body.has(p) || !v.reach[p] {
+				continue
+			}
+			exit := exits[p]
+			switch {
+			case exit == nil:
+				known = false
+			case have:
+				log = mergeRanges(&l.entry, exit, log[:0])
+			default:
+				l.entry, have = *exit, true
+			}
+		}
+		l.entryKnown = have && known
+	}
+}
+
+// loopEntryInterval returns reg's interval on the loop's entry edges,
+// from the join joinLoopEntries computed.
+func (v *verifier) loopEntryInterval(reg isa.Reg, l *loop) (interval, bool) {
+	if !l.entryKnown {
+		return interval{}, false
+	}
+	e, ok := l.entry.get(reg)
+	if !ok || !e.valid() {
 		return interval{}, false
 	}
 	return e, true

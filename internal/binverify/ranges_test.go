@@ -99,13 +99,13 @@ func TestWidenReadsChangeFromLog(t *testing.T) {
 }
 
 // TestClampedHeaderIsNotRequeued runs the counted loop r2 = 0, 1, ...
-// while r2 < 16 (header at node 0, back edge from node 5). Each trip
-// pops all six nodes; the header widens on its third join, so both
-// range passes converge after four trips, 24 worklist iterations. Once
-// the second pass has clamped r2 to its window, the back edge brings
-// one step more, which the clamp cuts back to the exact prior interval:
-// re-queueing the header then would cost a 25th iteration and trip the
-// cap.
+// while r2 < 16 (header at node 0, back edge from node 5). The loop is
+// one six-node chain, so each trip costs six instruction visits; the
+// header widens on its third join, so both range passes converge after
+// four trips, 24 visits. Once the second pass has clamped r2 to its
+// window, the back edge brings one step more, which the clamp cuts back
+// to the exact prior interval: re-queueing the header then would cost a
+// fifth trip and trip the cap.
 func TestClampedHeaderIsNotRequeued(t *testing.T) {
 	tgt := config.TM3260()
 	dec := stream(

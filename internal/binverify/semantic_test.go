@@ -121,12 +121,12 @@ func TestLoopBoundAnnotation(t *testing.T) {
 }
 
 // TestRangeFixpointCapFallsBackToTop runs the range worklist with its
-// iteration cap lowered below what the loop needs. Cut short after the
-// first iteration, the states claim r2 == 1 at the compare, so r5
-// (r2 == 5) looks constantly false and the iadd it guards looks dead —
-// a claim the converged analysis does not make. A capped pass must
-// instead leave every node at top, report nothing from ranges and say
-// so in the cycle bound's notes.
+// cap lowered below what the loop needs: three instruction visits, half
+// a trip. Cut short after one trip, the states would claim r2 == 1 at
+// the compare, so r5 (r2 == 5) would look constantly false and the
+// iadd it guards dead — a claim the converged analysis does not make. A
+// capped pass must instead leave every node at top, report nothing from
+// ranges and say so in the cycle bound's notes.
 func TestRangeFixpointCapFallsBackToTop(t *testing.T) {
 	tgt := config.TM3260()
 	dec := stream(
@@ -163,11 +163,11 @@ func TestRangeFixpointCapFallsBackToTop(t *testing.T) {
 
 	capped := run(3)
 	if !capped.rangesCapped {
-		t.Fatal("three iterations reached the fixpoint; the scenario no longer exercises the cap")
+		t.Fatal("three instruction visits reached the fixpoint; the scenario no longer exercises the cap")
 	}
-	for i, st := range capped.ranges {
+	for c, st := range capped.ranges {
 		if st != nil {
-			t.Errorf("node %d kept a range state after the cap", i)
+			t.Errorf("chain %d (leader %d) kept a range state after the cap", c, capped.leaders[c])
 		}
 	}
 	if !capped.rep.Clean() {

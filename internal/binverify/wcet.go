@@ -113,6 +113,8 @@ func charges(t *config.Target) busCharges {
 	}
 }
 
+// cycleBound builds the bound from the semantic layer's results, which
+// WCET always computes.
 func (v *verifier) cycleBound() *CycleBound {
 	cb := &CycleBound{Bounded: true}
 	n := len(v.dec)
@@ -168,7 +170,7 @@ func (v *verifier) cycleBound() *CycleBound {
 		}
 		cb.Issue = satAdd(cb.Issue, count[i])
 	}
-	if foot, ok := v.dataFootprint(count); ok {
+	if foot, ok := v.dataFootprint(); ok {
 		// Every access's address interval is known and the union of
 		// touched lines fits its cache sets: each line is filled at
 		// most once (allocations find an invalid way first), so the
@@ -177,10 +179,7 @@ func (v *verifier) cycleBound() *CycleBound {
 		cb.Notes = append(cb.Notes, fmt.Sprintf(
 			"data footprint of %d lines fits the cache: one fill per line", len(foot)))
 	} else {
-		for i := 0; i < n; i++ {
-			if count[i] == 0 {
-				continue
-			}
+		v.walkRanges(func(i int, st *rangeState) bool {
 			var per int64
 			for k := range v.ops[i] {
 				op := &v.ops[i][k]
@@ -189,7 +188,7 @@ func (v *verifier) cycleBound() *CycleBound {
 				}
 				switch {
 				case op.info.IsLoad:
-					lines := memLines(v, i, op, lineB)
+					lines := memLines(op, st, lineB)
 					per = satAdd(per, lines*(ch.writeData+ch.readData))
 					if v.t.HasRegionPrefetch {
 						per = satAdd(per, ch.writeData+ch.readData)
@@ -197,12 +196,13 @@ func (v *verifier) cycleBound() *CycleBound {
 				case op.info.MemBytes == 0 && op.info.IsStore:
 					per = satAdd(per, ch.writeData) // allocd: eviction only
 				case op.info.IsStore:
-					lines := memLines(v, i, op, lineB)
+					lines := memLines(op, st, lineB)
 					per = satAdd(per, lines*(ch.writeData+ch.readData))
 				}
 			}
 			cb.Data = satAdd(cb.Data, satMul(count[i], per))
-		}
+			return true
+		})
 	}
 
 	cb.Fetch = v.fetchBound(count, ch, cb)
@@ -226,26 +226,21 @@ const footprintCap = int64(1) << 22
 // memory map's lines join the footprint, since region prefetches land
 // in the data cache too. (Regions are assumed to be programmed within
 // the declared map — the mem-range proofs pin every CPU access there.)
-func (v *verifier) dataFootprint(count []int64) (map[int64]bool, bool) {
-	if v.ranges == nil {
-		return nil, false
-	}
+func (v *verifier) dataFootprint() (map[int64]bool, bool) {
 	lineB := int64(v.t.DCache.LineBytes)
 	const mmioLo, mmioHi = int64(prefetch.MMIOBase), int64(prefetch.MMIOBase) + int64(prefetch.MMIOSize)
 	foot := map[int64]bool{}
-	mmioStore := false
-	for i := range v.dec {
-		if count[i] == 0 {
-			continue
-		}
+	mmioStore, known := false, true
+	v.walkRanges(func(i int, st *rangeState) bool {
 		for k := range v.ops[i] {
 			op := &v.ops[i][k]
 			if neverExec(op) || (!op.info.IsLoad && !op.info.IsStore) {
 				continue
 			}
-			addr, ok := memAddress(op, v.ranges[i])
+			addr, ok := memAddress(op, st)
 			if !ok {
-				return nil, false
+				known = false
+				return false
 			}
 			size := int64(op.info.MemBytes)
 			if size < 1 {
@@ -255,16 +250,19 @@ func (v *verifier) dataFootprint(count []int64) (map[int64]bool, bool) {
 				mmioStore = mmioStore || op.info.IsStore
 				continue // MMIO bypasses the data cache
 			}
-			if addr.hi+size > mmioLo && addr.lo < mmioHi {
-				return nil, false // may straddle the MMIO window
-			}
-			if addr.hi-addr.lo > footprintCap {
-				return nil, false
+			if addr.hi+size > mmioLo && addr.lo < mmioHi || // may straddle the MMIO window
+				addr.hi-addr.lo > footprintCap {
+				known = false
+				return false
 			}
 			for l := addr.lo / lineB; l <= (addr.hi+size-1)/lineB; l++ {
 				foot[l] = true
 			}
 		}
+		return true
+	})
+	if !known {
+		return nil, false
 	}
 	if v.t.HasRegionPrefetch && mmioStore {
 		for _, reg := range v.opts.MemMap {
@@ -291,15 +289,13 @@ func (v *verifier) dataFootprint(count []int64) (map[int64]bool, bool) {
 // memLines bounds the cache lines one access touches: exact when the
 // address interval is a singleton, otherwise 1 for single-byte accesses
 // and 2 for anything that may straddle a line boundary.
-func memLines(v *verifier, i int, op *vop, lineB int64) int64 {
+func memLines(op *vop, st *rangeState, lineB int64) int64 {
 	size := int64(op.info.MemBytes)
 	if size <= 1 {
 		return 1
 	}
-	if v.ranges != nil {
-		if addr, ok := memAddress(op, v.ranges[i]); ok && addr.singleton() {
-			return (addr.lo+size-1)/lineB - addr.lo/lineB + 1
-		}
+	if addr, ok := memAddress(op, st); ok && addr.singleton() {
+		return (addr.lo+size-1)/lineB - addr.lo/lineB + 1
 	}
 	return 2
 }

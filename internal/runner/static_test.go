@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -185,15 +186,18 @@ func staticBenchArtifact(b *testing.B) (*runner.Artifact, *config.Target, *binve
 	return art, &tgt, art.VerifyOptions(w)
 }
 
-// TestVerifyAllocs guards the static verifier's per-run allocations on
-// its largest shipped input, mpeg2_super on config D: 59,035 per run
-// when the range passes came to share one state slab and the dominator
-// pass to keep only an idom tree, 50,793 since the decoder carves its
-// operations from one slab. A change that brings back per-node,
-// per-round or per-slot allocations fails here, deterministically, long
-// before it shows in a timing.
+// TestVerifyAllocs guards the static verifier's per-run allocations and
+// bytes on its largest shipped input, mpeg2_super on config D: 59,035
+// allocations per run when the range passes came to share one state
+// slab and the dominator pass to keep only an idom tree, 50,793 since
+// the decoder carves its operations from one slab, and 39,157 (5.5 MB)
+// since the range fixpoint keeps one state per chain leader instead of
+// one per instruction (15.6 MB before). A change that brings back
+// per-node, per-round or per-slot allocations, or a per-instruction
+// state slab, fails here, deterministically, long before it shows in a
+// timing.
 func TestVerifyAllocs(t *testing.T) {
-	const measured = 50793
+	const measured, measuredBytes = 39157, 5486500
 	w, err := workloads.ByName("mpeg2_super", workloads.Full())
 	if err != nil {
 		t.Fatal(err)
@@ -204,14 +208,27 @@ func TestVerifyAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := art.VerifyOptions(w)
-	allocs := testing.AllocsPerRun(2, func() {
+	verify := func() {
 		if _, err := art.VerifyStatic(&tgt, opts); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	allocs := testing.AllocsPerRun(2, verify)
 	if limit := measured * 1.1; allocs > limit {
 		t.Errorf("VerifyStatic on mpeg2_super/D: %.0f allocs per run, want at most %.0f (%d measured + 10%%)",
 			allocs, limit, measured)
+	}
+
+	const runs = 2
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		verify()
+	}
+	runtime.ReadMemStats(&after)
+	if bytes, limit := float64(after.TotalAlloc-before.TotalAlloc)/runs, measuredBytes*1.1; bytes > limit {
+		t.Errorf("VerifyStatic on mpeg2_super/D: %.0f bytes per run, want at most %.0f (%d measured + 10%%)",
+			bytes, limit, measuredBytes)
 	}
 }
 
