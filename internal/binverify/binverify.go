@@ -221,9 +221,15 @@ type verifier struct {
 
 	ops   [][]vop // fused operations per instruction
 	succ  [][]int // CFG successor instruction indices (len(dec) = exit)
-	preds [][]int // reverse CFG, built on demand by the semantic layer
+	preds [][]int // reverse CFG (exit pseudo-node excluded)
 	reach []bool
 	jumps []jumpRef
+
+	// Straight-line chains, the only unit in which the latency and range
+	// passes store and iterate states (see buildChains).
+	leaders []int   // first node of each chain, in node order
+	next    []int32 // the node after i in its chain (-1: chain tail or unreachable)
+	chainOf []int32 // the chain holding node i (-1: unreachable)
 
 	uninitOn     bool
 	entryDefined regSet
@@ -232,11 +238,6 @@ type verifier struct {
 	idom  []int   // immediate dominator of each reachable node (entry: itself)
 	rpo   []int   // reverse-postorder number of each node (-1: unreachable)
 	loops []*loop // natural loops, merged by header
-
-	// Straight-line chains of the range fixpoint (see buildChains).
-	leaders []int   // first node of each chain, in node order
-	next    []int32 // the node after i in its chain (-1: chain tail or unreachable)
-	chainOf []int32 // the chain holding node i (-1: unreachable)
 
 	ranges []*rangeState // register intervals at each leader's entry (nil: top)
 	slab   []rangeState  // backing store of ranges, shared by both range passes
@@ -265,6 +266,8 @@ func (v *verifier) run() {
 	v.jumps = v.analyzeJumps()
 	v.buildCFG(v.jumps)
 	v.checkReachability()
+	v.buildPreds()
+	v.buildChains()
 	v.dataflow()
 	v.checkWritePorts()
 	if v.opts.semantic() {
@@ -276,10 +279,8 @@ func (v *verifier) run() {
 // loops, the interval fixpoint, loop-bound inference, and the checks
 // built on them (mem-range, dead-guard, loop-bound).
 func (v *verifier) semantic() {
-	v.buildPreds()
 	v.dominators()
 	v.findLoops()
-	v.buildChains()
 	v.rangeFixpoint(nil) // widen induction candidates to top
 	v.joinLoopEntries()  // entry-edge states from the first pass
 	v.inferLoopBounds()
@@ -304,6 +305,9 @@ func (v *verifier) diag(idx, slot int, op, check string, sev Severity, format st
 // pairing and opcode-validity findings along the way.
 func (v *verifier) extract() {
 	v.ops = make([][]vop, len(v.dec))
+	// Each op's operands are carved from one slab: up to four sources and
+	// two destinations per issue slot.
+	regs := make([]isa.Reg, 6*5*len(v.dec))
 	for i := range v.dec {
 		in := &v.dec[i]
 		for s := 0; s < 5; s++ {
@@ -329,8 +333,10 @@ func (v *verifier) extract() {
 			if isa.Opcode(d.Opcode) == isa.OpNOP {
 				continue
 			}
+			r := regs[6*(5*i+s):]
 			op := vop{slot: s + 1, oc: isa.Opcode(d.Opcode), info: info,
-				guard: d.Guard, imm: d.Imm, target: d.Target}
+				guard: d.Guard, imm: d.Imm, target: d.Target,
+				srcs: r[:0:4], dests: r[4:4:6]}
 			for k := 0; k < info.NSrc && k < 2; k++ {
 				op.srcs = append(op.srcs, [2]isa.Reg{d.S1, d.S2}[k])
 			}

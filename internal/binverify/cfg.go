@@ -148,3 +148,131 @@ func (v *verifier) checkReachability() {
 		}
 	}
 }
+
+// buildChains partitions the reachable nodes into straight-line chains.
+// A chain starts at a leader — node 0, a node with other than one
+// reachable predecessor, or a successor of a node with other than one
+// successor — and follows single-successor edges until the next leader.
+// Every reachable node lies in exactly one chain, and every loop header
+// is a leader (it has an entry edge and a back edge, or is node 0), so
+// all joins of the fixpoint land on leaders. Leaders are numbered in
+// node order; chain 0 starts at node 0.
+func (v *verifier) buildChains() {
+	n := len(v.dec)
+	leader := make([]bool, n)
+	leader[0] = true
+	for i := 0; i < n; i++ {
+		if !v.reach[i] {
+			continue
+		}
+		preds := 0
+		for _, p := range v.preds[i] {
+			if v.reach[p] {
+				preds++
+			}
+		}
+		if preds != 1 {
+			leader[i] = true
+		}
+		if len(v.succ[i]) != 1 {
+			for _, s := range v.succ[i] {
+				if s < n {
+					leader[s] = true
+				}
+			}
+		}
+	}
+	v.next, v.chainOf = make([]int32, n), make([]int32, n)
+	for i := 0; i < n; i++ {
+		v.next[i], v.chainOf[i] = -1, -1
+		if !v.reach[i] {
+			continue
+		}
+		if len(v.succ[i]) == 1 {
+			if s := v.succ[i][0]; s < n && !leader[s] {
+				v.next[i] = int32(s)
+			}
+		}
+		if leader[i] {
+			v.leaders = append(v.leaders, i)
+		}
+	}
+	for c, head := range v.leaders {
+		for i := head; i >= 0; i = int(v.next[i]) {
+			v.chainOf[i] = int32(c)
+		}
+	}
+}
+
+// chainFixpoint runs a forward worklist over the chains, from the entry
+// state the caller put in states[0]. A chain visit copies its leader's
+// state once and steps it in place across the chain; the tail's exit
+// state then seeds each successor leader reached for the first time
+// (states[c] is nil until then) or is joined into it, and a leader
+// whose state changed is queued again. slab backs the states, one per
+// leader. step returning false abandons the pass: chainFixpoint then
+// returns false with the states cut short.
+func chainFixpoint[S any](v *verifier, states []*S, slab []S,
+	step func(i int, st *S) bool, join func(dst, src *S, s int) bool) bool {
+	n := len(v.dec)
+	work := []int{0}
+	queued := make([]bool, len(v.leaders))
+	queued[0] = true
+	var st S
+	for len(work) > 0 {
+		c := work[0]
+		work = work[1:]
+		queued[c] = false
+		st = *states[c]
+		i := v.leaders[c]
+		for ; ; i = int(v.next[i]) {
+			if !step(i, &st) {
+				return false
+			}
+			if v.next[i] < 0 {
+				break
+			}
+		}
+		for _, s := range v.succ[i] {
+			if s >= n {
+				continue
+			}
+			sc := v.chainOf[s]
+			changed := true
+			if states[sc] == nil {
+				slab[sc] = st
+				states[sc] = &slab[sc]
+			} else {
+				changed = join(states[sc], &st, s)
+			}
+			if changed && !queued[sc] {
+				queued[sc] = true
+				work = append(work, int(sc))
+			}
+		}
+	}
+	return true
+}
+
+// walkChains replays the leader states across their chains and calls fn
+// with every reachable node's entry state, until fn returns false. A
+// chain whose leader state is nil (top) passes nil at every node; fn
+// must not modify the state. Chains are walked in leader order, so
+// nodes are not visited in index order.
+func walkChains[S any](v *verifier, states []*S, step func(i int, st *S), fn func(i int, st *S) bool) {
+	var st S
+	for c, head := range v.leaders {
+		var cur *S
+		if in := states[c]; in != nil {
+			st, cur = *in, &st
+		}
+		for i := head; i >= 0; i = int(v.next[i]) {
+			if !fn(i, cur) {
+				return
+			}
+			if cur != nil && v.next[i] >= 0 {
+				step(i, cur)
+			}
+		}
+	}
+}

@@ -18,12 +18,14 @@ import (
 // must-analysis (join = intersection): a register is defined only if
 // every path to the node wrote it unconditionally.
 //
-// Both states are dense over the register file, so a transfer or join
-// is a fixed-size array pass and a copy is a value copy.
+// Like the range fixpoint, the pass runs over the straight-line chains
+// (see buildChains) and stores a state only at each chain's leader;
+// reporting replays each chain once from its leader state. Both
+// lattices are finite and unwidened, so the least fixpoint, and with
+// it every report, does not depend on the order the chains are visited.
 type dfState struct {
-	pend  [isa.NumRegs]int32 // instructions until the in-flight write commits (0: none)
-	def   regSet             // registers defined on every path, when defOn
-	defOn bool               // the uninit analysis runs
+	pend [isa.NumRegs]int32 // instructions until the in-flight write commits (0: none)
+	def  regSet             // registers defined on every path (read only when v.uninitOn)
 }
 
 // mergeFrom joins o into s, reporting whether s changed.
@@ -35,12 +37,10 @@ func (s *dfState) mergeFrom(o *dfState) bool {
 			changed = true
 		}
 	}
-	if s.defOn {
-		for w := range s.def {
-			if d := s.def[w] & o.def[w]; d != s.def[w] {
-				s.def[w] = d
-				changed = true
-			}
+	for w := range s.def {
+		if d := s.def[w] & o.def[w]; d != s.def[w] {
+			s.def[w] = d
+			changed = true
 		}
 	}
 	return changed
@@ -74,41 +74,52 @@ func neverExec(op *vop) bool {
 	return op.guard == isa.R0
 }
 
-// transfer computes into out the state at the next node's entry from
-// the state at node i's entry, emitting diagnostics when report is set.
-// Reads observe the entry state (operands are gathered before any write
-// of the same instruction commits).
-func (v *verifier) transfer(i int, in, out *dfState, report bool) {
-	if report {
-		read := func(op *vop, r isa.Reg) {
-			if r.Hardwired() {
-				return
-			}
-			if p := in.pend[r]; p > 0 {
-				v.diag(i, op.slot, op.mn(), CheckLatency, Error,
-					"reads %s %d instruction(s) before its in-flight write commits", r, p)
-			}
-			if in.defOn && !in.def.has(r) {
-				v.diag(i, op.slot, op.mn(), CheckUninit, Warn,
-					"reads %s, which may be uninitialized on some path to this instruction", r)
-			}
+// checkLatency reports node i's reads of registers whose write is
+// still in flight or that may be uninitialized, and its writes that
+// would commit no later than an earlier in-flight write, all against
+// st, the state at the node's entry (operands are gathered before any
+// write of the same instruction commits).
+func (v *verifier) checkLatency(i int, st *dfState) {
+	read := func(op *vop, r isa.Reg) {
+		if r.Hardwired() {
+			return
 		}
-		for k := range v.ops[i] {
-			op := &v.ops[i][k]
-			if neverExec(op) {
-				continue
-			}
-			read(op, op.guard)
-			for _, r := range op.srcs {
-				read(op, r)
+		if p := st.pend[r]; p > 0 {
+			v.diag(i, op.slot, op.mn(), CheckLatency, Error,
+				"reads %s %d instruction(s) before its in-flight write commits", r, p)
+		}
+		if v.uninitOn && !st.def.has(r) {
+			v.diag(i, op.slot, op.mn(), CheckUninit, Warn,
+				"reads %s, which may be uninitialized on some path to this instruction", r)
+		}
+	}
+	for k := range v.ops[i] {
+		op := &v.ops[i][k]
+		if neverExec(op) {
+			continue
+		}
+		read(op, op.guard)
+		for _, r := range op.srcs {
+			read(op, r)
+		}
+		lat := v.t.OpLatency(op.oc)
+		for _, d := range op.dests {
+			// The earlier write commits at i+pend, this one at i+lat: the
+			// earlier one landing at the same cycle or later inverts the
+			// write order the schedule promised.
+			if !d.Hardwired() && int(st.pend[d]) >= lat {
+				v.diag(i, op.slot, op.mn(), CheckWAW, Error,
+					"writes %s while an earlier write is still in flight and commits no earlier (WAW order violation)", d)
 			}
 		}
 	}
+}
 
-	*out = *in
-	for r, p := range &out.pend {
+// stepLatency advances st across node i, in place.
+func (v *verifier) stepLatency(i int, st *dfState) {
+	for r, p := range &st.pend {
 		if p > 0 {
-			out.pend[r] = p - 1
+			st.pend[r] = p - 1
 		}
 	}
 	for k := range v.ops[i] {
@@ -121,68 +132,33 @@ func (v *verifier) transfer(i int, in, out *dfState, report bool) {
 			if d.Hardwired() {
 				continue
 			}
-			// The earlier write commits at i+pend, this one at i+lat: the
-			// earlier one landing at the same cycle or later inverts the
-			// write order the schedule promised.
-			if report && int(in.pend[d]) >= lat {
-				v.diag(i, op.slot, op.mn(), CheckWAW, Error,
-					"writes %s while an earlier write is still in flight and commits no earlier (WAW order violation)", d)
-			}
-			out.pend[d] = int32(max(lat-1, 0))
+			st.pend[d] = int32(max(lat-1, 0))
 			// A guarded (if-converted) write still defines the register for
 			// the may-uninit analysis: flagging it would drown real
 			// never-written-on-some-path reads in false positives.
-			out.def.add(d)
+			st.def.add(d)
 		}
 	}
 }
 
-// dataflow runs the worklist fixpoint over the CFG, then a final
-// deterministic reporting pass in instruction order.
-func (v *verifier) dataflow() {
-	n := len(v.dec)
-	entry := &dfState{defOn: v.uninitOn}
-	if v.uninitOn {
-		entry.def = v.entryDefined
-		entry.def.add(isa.R0)
-		entry.def.add(isa.R1)
-	}
-
-	states := make([]*dfState, n)
-	states[0] = entry
-	work := []int{0}
-	queued := make([]bool, n)
-	queued[0] = true
-	var out dfState
-	for len(work) > 0 {
-		i := work[0]
-		work = work[1:]
-		queued[i] = false
-		v.transfer(i, states[i], &out, false)
-		for _, s := range v.succ[i] {
-			if s >= n {
-				continue // exit
-			}
-			changed := false
-			if states[s] == nil {
-				st := out
-				states[s] = &st
-				changed = true
-			} else {
-				changed = states[s].mergeFrom(&out)
-			}
-			if changed && !queued[s] {
-				queued[s] = true
-				work = append(work, s)
-			}
-		}
-	}
-
-	for i := 0; i < n; i++ {
-		if states[i] != nil {
-			v.transfer(i, states[i], &out, true)
-		}
-	}
+// dataflow runs the latency and definedness fixpoint over the chains,
+// then reports by replaying every chain from its leader state. It
+// returns the leader states.
+func (v *verifier) dataflow() []*dfState {
+	nc := len(v.leaders)
+	states, slab := make([]*dfState, nc), make([]dfState, nc)
+	slab[0].def = v.entryDefined
+	slab[0].def.add(isa.R0)
+	slab[0].def.add(isa.R1)
+	states[0] = &slab[0]
+	chainFixpoint(v, states, slab,
+		func(i int, st *dfState) bool { v.stepLatency(i, st); return true },
+		func(dst, src *dfState, _ int) bool { return dst.mergeFrom(src) })
+	walkChains(v, states, v.stepLatency, func(i int, st *dfState) bool {
+		v.checkLatency(i, st)
+		return true
+	})
+	return states
 }
 
 // checkWritePorts counts, per straight-line issue cycle, how many

@@ -333,11 +333,11 @@ func rangeResult(op *vop, st *rangeState) (interval, bool) {
 		}
 	case isa.OpIMIN:
 		if aok && bok && a.signedOK() && b.signedOK() {
-			return interval{min64(a.lo, b.lo), min64(a.hi, b.hi)}, true
+			return interval{min(a.lo, b.lo), min(a.hi, b.hi)}, true
 		}
 	case isa.OpIMAX:
 		if aok && bok && a.signedOK() && b.signedOK() {
-			return interval{max64(a.lo, b.lo), max64(a.hi, b.hi)}, true
+			return interval{max(a.lo, b.lo), max(a.hi, b.hi)}, true
 		}
 	case isa.OpIZERO, isa.OpINONZERO:
 		want := op.oc == isa.OpIZERO
@@ -389,7 +389,7 @@ func rangeResult(op *vop, st *rangeState) (interval, bool) {
 		if aok && bok && a.unsignedOK() && b.unsignedOK() {
 			// Neither or nor xor can set a bit above both operands'
 			// highest bit.
-			return interval{0, int64(ceilPow2(uint64(max64(a.hi, b.hi)))) - 1}, true
+			return interval{0, int64(ceilPow2(uint64(max(a.hi, b.hi)))) - 1}, true
 		}
 	case isa.OpASLI:
 		sh := uint(op.imm & 31)
@@ -464,20 +464,6 @@ func byteRange(a interval, aok bool, lo, hi int64) interval {
 		return interval{v, v}
 	}
 	return interval{lo, hi}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ceilPow2 rounds v up to the next power of two (v >= 0).

@@ -151,7 +151,7 @@ func (v *verifier) inferLoopBounds() {
 		case ok && hasAnn:
 			// Inference is sound on its own; a tighter annotation is a
 			// stronger promise from the kernel writer.
-			l.bound, l.source = min64(inferred, annotated), "inferred"
+			l.bound, l.source = min(inferred, annotated), "inferred"
 			if annotated < inferred {
 				l.source = "annotation"
 			}
@@ -486,8 +486,8 @@ func tripCount(rel cmpKind, unsigned bool, entry, limit interval, step int64) (i
 	// relation's interpretation window, or the counter could wrap and
 	// the arithmetic above would be meaningless.
 	extreme := interval{
-		min64(entry.lo, entry.lo+step*bound),
-		max64(entry.hi, entry.hi+step*bound),
+		min(entry.lo, entry.lo+step*bound),
+		max(entry.hi, entry.hi+step*bound),
 	}
 	winOK := func(iv interval) bool {
 		if unsigned {
@@ -528,8 +528,8 @@ func (v *verifier) boundedWidenings() map[int]*rangeState {
 				continue
 			}
 			b := interval{
-				entry.lo + min64(0, step*l.bound),
-				entry.hi + max64(0, step*l.bound),
+				entry.lo + min(0, step*l.bound),
+				entry.hi + max(0, step*l.bound),
 			}
 			if !b.valid() {
 				continue

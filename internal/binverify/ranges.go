@@ -2,20 +2,17 @@ package binverify
 
 import "tm3270/internal/isa"
 
-// The range fixpoint mirrors the latency dataflow: forward over the
-// instruction CFG, joining at merge points (interval hull, intersection
-// of known registers). Termination comes from widening at loop headers:
-// after a few joins a still-growing register drops to top — or, on the
-// second pass, to the loop's bounded-widening clamp when the register
-// is a proven linear induction variable (see boundedWidenings).
-//
-// Guarded VLIW code is long and straight: most instructions have one
-// predecessor whose only successor they are. The fixpoint therefore
-// runs over chains (see buildChains) and stores a state only at each
-// chain's leader. A chain visit copies the leader's state once and
-// steps it in place across the chain; joins, widening and clamps
-// happen only at leaders. Readers of per-instruction states replay the
-// chains from the stored leader states (walkRanges, rangeAt).
+// The range fixpoint runs on the latency dataflow's chain worklist
+// (chainFixpoint): forward over the CFG, one stored state per chain
+// leader, joining at leaders (interval hull, intersection of known
+// registers). A chain visit copies the leader's state once and steps it
+// in place across the chain, so joins, widening and clamps happen only
+// at leaders; readers of per-instruction states replay the chains from
+// the leader states (walkRanges, rangeAt). Termination comes from
+// widening at loop headers, which are always leaders: after a few joins
+// a still-growing register drops to top — or, on the second pass, to
+// the loop's bounded-widening clamp when the register is a proven
+// linear induction variable (see boundedWidenings).
 //
 // Writes are modeled as committing immediately. The exposed pipeline
 // actually commits a latency-L write L instructions later, but a read
@@ -155,73 +152,18 @@ func mergeRanges(dst, src *rangeState, log []regChange) []regChange {
 	return log
 }
 
-// buildChains partitions the reachable nodes into straight-line chains.
-// A chain starts at a leader — node 0, a node with other than one
-// reachable predecessor, or a successor of a node with other than one
-// successor — and follows single-successor edges until the next leader.
-// Every reachable node lies in exactly one chain, and every loop header
-// is a leader (it has an entry edge and a back edge, or is node 0), so
-// all joins of the fixpoint land on leaders. Leaders are numbered in
-// node order; chain 0 starts at node 0.
-func (v *verifier) buildChains() {
-	n := len(v.dec)
-	leader := make([]bool, n)
-	leader[0] = true
-	for i := 0; i < n; i++ {
-		if !v.reach[i] {
-			continue
-		}
-		preds := 0
-		for _, p := range v.preds[i] {
-			if v.reach[p] {
-				preds++
-			}
-		}
-		if preds != 1 {
-			leader[i] = true
-		}
-		if len(v.succ[i]) != 1 {
-			for _, s := range v.succ[i] {
-				if s < n {
-					leader[s] = true
-				}
-			}
-		}
-	}
-	v.next, v.chainOf = make([]int32, n), make([]int32, n)
-	for i := 0; i < n; i++ {
-		v.next[i], v.chainOf[i] = -1, -1
-		if !v.reach[i] {
-			continue
-		}
-		if len(v.succ[i]) == 1 {
-			if s := v.succ[i][0]; s < n && !leader[s] {
-				v.next[i] = int32(s)
-			}
-		}
-		if leader[i] {
-			v.leaders = append(v.leaders, i)
-		}
-	}
-	for c, head := range v.leaders {
-		for i := head; i >= 0; i = int(v.next[i]) {
-			v.chainOf[i] = int32(c)
-		}
-	}
-}
-
-// rangeFixpoint runs the interval worklist over chains. clamps, when
-// non-nil, maps loop headers to bounded-widening targets per register
-// (second pass). Leader states live in one slab that both passes
-// reuse; a merge logs what it changes, so widening and the change test
-// touch only those registers.
+// rangeFixpoint runs the interval fixpoint over the chains (see
+// chainFixpoint). clamps, when non-nil, maps loop headers to
+// bounded-widening targets per register (second pass). Leader states
+// live in one slab that both passes reuse; a merge logs what it
+// changes, so widening and the change test touch only those registers.
 //
-// The worklist stops after v.rangeCap instruction visits. States cut
-// short are not a fixpoint and would back unsound proofs, so when work
+// The pass stops after v.rangeCap instruction visits. States cut short
+// are not a fixpoint and would back unsound proofs, so when work
 // remains every leader falls back to top and cycleBound says so in a
 // note.
 func (v *verifier) rangeFixpoint(clamps map[int]*rangeState) {
-	n, nc := len(v.dec), len(v.leaders)
+	nc := len(v.leaders)
 	isHeader := make([]bool, nc)
 	for _, l := range v.loops {
 		if !l.irreducible {
@@ -232,83 +174,41 @@ func (v *verifier) rangeFixpoint(clamps map[int]*rangeState) {
 	if v.ranges == nil {
 		v.ranges, v.slab = make([]*rangeState, nc), make([]rangeState, nc)
 	}
-	states := v.ranges
-	clear(states)
+	clear(v.ranges)
 	v.slab[0] = *v.entryRangeState()
-	states[0] = &v.slab[0]
+	v.ranges[0] = &v.slab[0]
 	joins := make([]int, nc)
-	work := []int{0}
-	queued := make([]bool, nc)
-	queued[0] = true
-	var st rangeState
 	var log []regChange
 	visits := 0
-	for len(work) > 0 {
-		c := work[0]
-		work = work[1:]
-		queued[c] = false
-		st = *states[c]
-		i := v.leaders[c]
-		for {
-			if visits == v.rangeCap {
-				clear(states)
-				v.rangesCapped = true
-				return
-			}
-			visits++
-			v.stepRanges(i, &st)
-			if v.next[i] < 0 {
-				break
-			}
-			i = int(v.next[i])
+	step := func(i int, st *rangeState) bool {
+		if visits == v.rangeCap {
+			return false
 		}
-		for _, s := range v.succ[i] {
-			if s >= n {
-				continue
-			}
-			sc := v.chainOf[s]
-			changed := false
-			if states[sc] == nil {
-				v.slab[sc] = st
-				states[sc] = &v.slab[sc]
-				changed = true
-			} else if log = mergeRanges(states[sc], &st, log[:0]); len(log) > 0 {
-				changed = true
-				joins[sc]++
-				if isHeader[sc] && joins[sc] > widenAfterJoins ||
-					joins[sc] > widenSafetyValve {
-					changed = widen(states[sc], log, clamps[s])
-				}
-			}
-			if changed && !queued[sc] {
-				queued[sc] = true
-				work = append(work, int(sc))
-			}
+		visits++
+		v.stepRanges(i, st)
+		return true
+	}
+	join := func(dst, src *rangeState, s int) bool {
+		if log = mergeRanges(dst, src, log[:0]); len(log) == 0 {
+			return false
 		}
+		sc := v.chainOf[s]
+		joins[sc]++
+		if isHeader[sc] && joins[sc] > widenAfterJoins || joins[sc] > widenSafetyValve {
+			return widen(dst, log, clamps[s])
+		}
+		return true
+	}
+	if !chainFixpoint(v, v.ranges, v.slab, step, join) {
+		clear(v.ranges)
+		v.rangesCapped = true
 	}
 }
 
-// walkRanges replays the stored leader states across their chains and
-// calls fn with every reachable node's entry state, until fn returns
-// false. The state is nil (top) everywhere after a capped pass; fn must
-// not modify it. Chains are walked in leader order, so nodes are not
-// visited in index order.
+// walkRanges calls fn with every reachable node's range state (see
+// walkChains); the state is nil (top) everywhere after a capped pass.
 func (v *verifier) walkRanges(fn func(i int, st *rangeState) bool) {
-	var st rangeState
-	for c, head := range v.leaders {
-		var cur *rangeState
-		if in := v.ranges[c]; in != nil {
-			st, cur = *in, &st
-		}
-		for i := head; i >= 0; i = int(v.next[i]) {
-			if !fn(i, cur) {
-				return
-			}
-			if cur != nil && v.next[i] >= 0 {
-				v.stepRanges(i, cur)
-			}
-		}
-	}
+	walkChains(v, v.ranges, v.stepRanges, fn)
 }
 
 // rangeAt replays node i's entry state from its chain's leader into buf

@@ -1,7 +1,9 @@
 package binverify
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"tm3270/internal/config"
 	"tm3270/internal/encode"
@@ -175,9 +177,9 @@ func (v *verifier) cycleBound() *CycleBound {
 		// touched lines fits its cache sets: each line is filled at
 		// most once (allocations find an invalid way first), so the
 		// whole data traffic is one eviction + fill per footprint line.
-		cb.Data = satMul(int64(len(foot)), ch.writeData+ch.readData)
+		cb.Data = satMul(foot, ch.writeData+ch.readData)
 		cb.Notes = append(cb.Notes, fmt.Sprintf(
-			"data footprint of %d lines fits the cache: one fill per line", len(foot)))
+			"data footprint of %d lines fits the cache: one fill per line", foot))
 	} else {
 		v.walkRanges(func(i int, st *rangeState) bool {
 			var per int64
@@ -215,21 +217,47 @@ func (v *verifier) cycleBound() *CycleBound {
 // enumerate too many lines to be worth it.
 const footprintCap = int64(1) << 22
 
+// lineSpan is an inclusive range of cache line numbers.
+type lineSpan struct{ lo, hi int64 }
+
+// linesFit counts the distinct lines the spans cover and reports
+// whether they fit the cache: no set holds more than c.Ways of them.
+// Then no line is ever evicted, so each misses at most once whatever
+// the access order. It sorts spans in place and stops at the first set
+// that overflows.
+func linesFit(spans []lineSpan, c config.CacheConfig) (int64, bool) {
+	slices.SortFunc(spans, func(a, b lineSpan) int { return cmp.Compare(a.lo, b.lo) })
+	sets := int64(c.Sets())
+	perSet := make([]int, sets)
+	var lines int64
+	from := int64(0) // the first line not yet counted
+	for _, sp := range spans {
+		for l := max(sp.lo, from); l <= sp.hi; l++ {
+			if perSet[l%sets]++; perSet[l%sets] > c.Ways {
+				return lines, false
+			}
+			lines++
+		}
+		from = max(from, sp.hi+1)
+	}
+	return lines, true
+}
+
 // dataFootprint attempts the cache-persistence argument for the data
-// side. It succeeds when every reachable load/store has a statically
-// known address interval and the union of all touched cache lines has
-// at most `ways` distinct lines per set — then allocations always find
-// an invalid way, no line is ever evicted, and each line misses at most
-// once regardless of access order. Accesses provably confined to the
-// prefetch MMIO window bypass the data cache and are excluded; if any
-// MMIO store exists (the prefetch engine may be armed), the declared
-// memory map's lines join the footprint, since region prefetches land
-// in the data cache too. (Regions are assumed to be programmed within
-// the declared map — the mem-range proofs pin every CPU access there.)
-func (v *verifier) dataFootprint() (map[int64]bool, bool) {
+// side and returns the footprint's line count. It succeeds when every
+// reachable load/store has a statically known address interval and the
+// union of all touched cache lines fits the data cache (see linesFit):
+// allocations then always find an invalid way. Accesses provably
+// confined to the prefetch MMIO window bypass the data cache and are
+// excluded; if any MMIO store exists (the prefetch engine may be
+// armed), the declared memory map's lines join the footprint, since
+// region prefetches land in the data cache too. (Regions are assumed to
+// be programmed within the declared map — the mem-range proofs pin
+// every CPU access there.)
+func (v *verifier) dataFootprint() (int64, bool) {
 	lineB := int64(v.t.DCache.LineBytes)
 	const mmioLo, mmioHi = int64(prefetch.MMIOBase), int64(prefetch.MMIOBase) + int64(prefetch.MMIOSize)
-	foot := map[int64]bool{}
+	var spans []lineSpan
 	mmioStore, known := false, true
 	v.walkRanges(func(i int, st *rangeState) bool {
 		for k := range v.ops[i] {
@@ -255,35 +283,22 @@ func (v *verifier) dataFootprint() (map[int64]bool, bool) {
 				known = false
 				return false
 			}
-			for l := addr.lo / lineB; l <= (addr.hi+size-1)/lineB; l++ {
-				foot[l] = true
-			}
+			spans = append(spans, lineSpan{addr.lo / lineB, (addr.hi + size - 1) / lineB})
 		}
 		return true
 	})
 	if !known {
-		return nil, false
+		return 0, false
 	}
 	if v.t.HasRegionPrefetch && mmioStore {
 		for _, reg := range v.opts.MemMap {
 			if int64(reg.Hi)-int64(reg.Lo) > footprintCap {
-				return nil, false
+				return 0, false
 			}
-			for l := int64(reg.Lo) / lineB; l <= (int64(reg.Hi)-1)/lineB; l++ {
-				foot[l] = true
-			}
+			spans = append(spans, lineSpan{int64(reg.Lo) / lineB, (int64(reg.Hi) - 1) / lineB})
 		}
 	}
-	sets := int64(v.t.DCache.Sets())
-	perSet := map[int64]int{}
-	for l := range foot {
-		s := l % sets
-		perSet[s]++
-		if perSet[s] > v.t.DCache.Ways {
-			return nil, false
-		}
-	}
-	return foot, true
+	return linesFit(spans, v.t.DCache)
 }
 
 // memLines bounds the cache lines one access touches: exact when the
@@ -302,43 +317,31 @@ func memLines(op *vop, st *rangeState, lineB int64) int64 {
 
 // fetchBound charges instruction fetch. Preferred model: every distinct
 // code line misses at most once, valid when the code's lines fit their
-// icache sets. Fallback: two line reads per executed instruction.
+// icache sets (see linesFit). Fallback: two line reads per executed
+// instruction.
 func (v *verifier) fetchBound(count []int64, ch busCharges, cb *CycleBound) int64 {
 	lineB := int64(v.t.ICache.LineBytes)
-	sets := int64(v.t.ICache.Sets())
-	lines := map[int64]bool{}
+	lineOf := func(i int) lineSpan {
+		a := int64(v.dec[i].Addr)
+		return lineSpan{a / lineB, (a + int64(v.dec[i].Size) - 1) / lineB}
+	}
+	var spans []lineSpan
 	for i := range v.dec {
-		if count[i] == 0 {
-			continue
-		}
-		lo := int64(v.dec[i].Addr) / lineB
-		hi := (int64(v.dec[i].Addr) + int64(v.dec[i].Size) - 1) / lineB
-		for l := lo; l <= hi; l++ {
-			lines[l] = true
+		if count[i] > 0 {
+			spans = append(spans, lineOf(i))
 		}
 	}
-	perSet := map[int64]int{}
-	fits := true
-	for l := range lines {
-		s := l % sets
-		perSet[s]++
-		if perSet[s] > v.t.ICache.Ways {
-			fits = false
-		}
-	}
-	if fits {
-		return satMul(int64(len(lines)), ch.readInstr)
+	if lines, fits := linesFit(spans, v.t.ICache); fits {
+		return satMul(lines, ch.readInstr)
 	}
 	cb.Notes = append(cb.Notes,
 		"code lines exceed icache associativity; fetch charged per executed instruction")
 	var total int64
 	for i := range v.dec {
-		if count[i] == 0 {
-			continue
+		if count[i] > 0 {
+			sp := lineOf(i)
+			total = satAdd(total, satMul(count[i], satMul(sp.hi-sp.lo+1, ch.readInstr)))
 		}
-		lo := int64(v.dec[i].Addr) / lineB
-		hi := (int64(v.dec[i].Addr) + int64(v.dec[i].Size) - 1) / lineB
-		total = satAdd(total, satMul(count[i], satMul(hi-lo+1, ch.readInstr)))
 	}
 	return total
 }

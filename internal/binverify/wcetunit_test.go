@@ -27,6 +27,35 @@ func TestSatArithmetic(t *testing.T) {
 	}
 }
 
+// TestLinesFit pins the cache-fit check both cycle-bound terms share,
+// on a 4-set, 2-way cache: line l maps to set l%4, distinct lines count
+// once however the spans overlap or are ordered, and a set fits with
+// exactly Ways lines but not with one more.
+func TestLinesFit(t *testing.T) {
+	cache := config.CacheConfig{SizeBytes: 4 * 2 * 64, LineBytes: 64, Ways: 2}
+	for _, c := range []struct {
+		name  string
+		spans []lineSpan
+		lines int64 // checked when the spans fit
+		fits  bool
+	}{
+		{"none", nil, 0, true},
+		{"overlapping", []lineSpan{{0, 3}, {2, 5}}, 6, true},
+		{"nested", []lineSpan{{0, 7}, {2, 3}}, 8, true},
+		{"adjacent", []lineSpan{{0, 1}, {2, 3}}, 4, true},
+		{"duplicate", []lineSpan{{1, 1}, {1, 1}, {1, 1}}, 1, true},
+		{"out of order", []lineSpan{{6, 7}, {3, 5}, {0, 4}}, 8, true},
+		{"set at Ways", []lineSpan{{4, 4}, {0, 0}}, 2, true},
+		{"set at Ways+1", []lineSpan{{8, 8}, {0, 0}, {4, 4}}, 0, false},
+		{"wide span over Ways", []lineSpan{{0, 8}}, 0, false},
+	} {
+		lines, fits := linesFit(c.spans, cache)
+		if fits != c.fits || fits && lines != c.lines {
+			t.Errorf("%s: linesFit = %d, %v; want %d, %v", c.name, lines, fits, c.lines, c.fits)
+		}
+	}
+}
+
 // countedLoop is a TM3260 counted loop: iaddi advances r2 by 1, ilesi
 // compares it against the limit, and the back-edge jump (3 delay slots,
 // so the edge lands from node 5) re-enters the header at node 0.

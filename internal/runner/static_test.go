@@ -190,14 +190,16 @@ func staticBenchArtifact(b *testing.B) (*runner.Artifact, *config.Target, *binve
 // bytes on its largest shipped input, mpeg2_super on config D: 59,035
 // allocations per run when the range passes came to share one state
 // slab and the dominator pass to keep only an idom tree, 50,793 since
-// the decoder carves its operations from one slab, and 39,157 (5.5 MB)
+// the decoder carves its operations from one slab, 39,157 (5.5 MB)
 // since the range fixpoint keeps one state per chain leader instead of
-// one per instruction (15.6 MB before). A change that brings back
-// per-node, per-round or per-slot allocations, or a per-instruction
-// state slab, fails here, deterministically, long before it shows in a
-// timing.
+// one per instruction (15.6 MB before), and 16,329 (2.9 MB) since the
+// latency pass keeps its states at chain leaders too and the verifier
+// carves every op's operands from one slab. A change that brings back
+// per-node, per-round, per-slot or per-operand allocations, or a
+// per-instruction state, fails here, deterministically, long before it
+// shows in a timing.
 func TestVerifyAllocs(t *testing.T) {
-	const measured, measuredBytes = 39157, 5486500
+	const measured, measuredBytes = 16329, 2874600
 	w, err := workloads.ByName("mpeg2_super", workloads.Full())
 	if err != nil {
 		t.Fatal(err)
