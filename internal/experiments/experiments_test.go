@@ -138,7 +138,8 @@ func TestTable4Renders(t *testing.T) {
 
 // TestLineSizeSweep pins the capacity/line-size interaction that
 // motivated the TM3270's 128-byte lines: at 16 KB the small lines win,
-// at 128 KB the large lines win, on a working set larger than both.
+// at 64 KB and 128 KB the large lines win, on a working set larger than
+// 16 KB (mpeg2_b at 320x96, 2 frames).
 func TestLineSizeSweep(t *testing.T) {
 	p := workloads.Small()
 	p.Mpeg2W, p.Mpeg2H = 320, 96
@@ -148,8 +149,16 @@ func TestLineSizeSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "capacity") {
-		t.Fatalf("sweep output incomplete:\n%s", out)
+	verdicts := map[string]string{}
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) == 5 && f[1] == "KB" {
+			verdicts[f[0]] = f[4]
+		}
+	}
+	for kb, want := range map[string]string{"16": "no", "64": "yes", "128": "yes"} {
+		if got := verdicts[kb]; got != want {
+			t.Errorf("%s KB: 128B wins? = %q, want %q", kb, got, want)
+		}
 	}
 	t.Log("\n" + out)
 }
