@@ -146,7 +146,7 @@ func main() {
 		run("faults", func() error {
 			// Small workload sizes keep the campaign dense: 4 workloads
 			// x 4 injectors x 13 seeds = 208 classified runs.
-			res, err := faults.RunCampaign(context.Background(), faults.CampaignConfig{}, os.Stdout)
+			res, err := faults.RunCampaign(context.Background(), os.Stdout)
 			if err != nil {
 				return err
 			}

@@ -54,7 +54,7 @@ func newLatencies() *latencies {
 	l := &latencies{byStatus: make(map[string]*telemetry.Histogram)}
 	for _, st := range []string{service.StatusOK, service.StatusTrap, service.StatusTimeout,
 		service.StatusCanceled, "shed", "other"} {
-		l.byStatus[st] = telemetry.NewHistogram(nil)
+		l.byStatus[st] = telemetry.NewHistogram()
 	}
 	return l
 }

@@ -23,8 +23,10 @@
 // error-severity diagnostic refuses the run.
 //
 // The execution knobs all route through the runner's per-run options
-// (WithWatchdog, WithStrictMem, WithVerify, WithTelemetry) — the same
-// API the batch runner and the public tm3270.RunContext use. -deadline
+// (WithWatchdog, WithStrictMem, WithMachineSetup) — the same API the
+// batch runner and the public tm3270.RunContext use; the event trace
+// and profile are armed on the machine in its setup hook, and the
+// counter dump reads the returned machine's registry. -deadline
 // is not one of them: it is a context.WithTimeout around the run, whose
 // expiry traps as "canceled" (the run's context is its only wall-clock
 // bound).
@@ -153,13 +155,14 @@ func main() {
 		inj = faults.New(spec, *seed)
 	}
 
-	// The per-run telemetry sink: the run fills the registry snapshot
-	// (and the profile, when enabled) even when it traps, so the
+	// The event trace and profile are armed on the machine; like its
+	// counters they are filled even when the run traps, so the
 	// machine-readable dumps stay available for fault forensics.
-	sink := &runner.Telemetry{EnableProfile: *profileN > 0}
+	var events *telemetry.Trace
 	if *traceJSON != "" {
-		sink.Trace = telemetry.NewTrace(0)
+		events = telemetry.NewTrace(0)
 	}
+	var prof *telemetry.Profile
 
 	ctx := context.Background()
 	if *deadline > 0 {
@@ -171,8 +174,13 @@ func main() {
 		runner.WithArtifact(art),
 		runner.WithWatchdog(*watchdog),
 		runner.WithStrictMem(*strict),
-		runner.WithTelemetry(sink),
 		runner.WithMachineSetup(func(m *tmsim.Machine) {
+			if events != nil {
+				m.SetEventTrace(events)
+			}
+			if *profileN > 0 {
+				prof = m.EnableProfile()
+			}
 			if *traceN > 0 {
 				m.Trace = os.Stdout
 				m.TraceLimit = *traceN
@@ -202,14 +210,14 @@ func main() {
 	// The trace and counter dumps are debugging artifacts: emit them
 	// even when the run trapped, so the events leading to the fault are
 	// inspectable in Perfetto.
-	if sink.Trace != nil {
-		if err := writeFile(*traceJSON, sink.Trace.WriteJSON); err != nil {
+	if events != nil {
+		if err := writeFile(*traceJSON, events.WriteJSON); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 	}
 	if *statsJSON != "" {
-		if err := writeFile(*statsJSON, sink.Snapshot.WriteJSON); err != nil {
+		if err := writeFile(*statsJSON, res.Machine.Registry().Snapshot().WriteJSON); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -256,9 +264,9 @@ func main() {
 		fmt.Fprintf(out, "power       %.3f mW/MHz at 1.2V -> %.1f mW at %d MHz\n",
 			pr.Total(), pr.MilliWattsAt(float64(tgt.FreqMHz)), tgt.FreqMHz)
 	}
-	if sink.Profile != nil {
+	if prof != nil {
 		fmt.Fprintln(out)
-		sink.Profile.Report(out, *profileN)
+		prof.Report(out, *profileN)
 	}
 }
 

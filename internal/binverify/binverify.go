@@ -305,11 +305,26 @@ func (v *verifier) diag(idx, slot int, op, check string, sev Severity, format st
 // pairing and opcode-validity findings along the way.
 func (v *verifier) extract() {
 	v.ops = make([][]vop, len(v.dec))
+	// Every instruction's ops are carved from one exactly sized slab:
+	// a slot becomes an op iff it is a defined, non-NOP main half.
+	n := 0
+	for i := range v.dec {
+		for _, d := range v.dec[i].Slots {
+			if d == nil || d.IsExt() || isa.Opcode(d.Opcode) == isa.OpNOP {
+				continue
+			}
+			if _, ok := isa.InfoOK(isa.Opcode(d.Opcode)); ok {
+				n++
+			}
+		}
+	}
+	ops := make([]vop, 0, n)
 	// Each op's operands are carved from one slab: up to four sources and
 	// two destinations per issue slot.
 	regs := make([]isa.Reg, 6*5*len(v.dec))
 	for i := range v.dec {
 		in := &v.dec[i]
+		start := len(ops)
 		for s := 0; s < 5; s++ {
 			d := in.Slots[s]
 			if d == nil {
@@ -361,8 +376,9 @@ func (v *verifier) extract() {
 					s++ // extension half consumed
 				}
 			}
-			v.ops[i] = append(v.ops[i], op)
+			ops = append(ops, op)
 		}
+		v.ops[i] = ops[start:len(ops):len(ops)]
 	}
 }
 

@@ -25,7 +25,7 @@ func (v *verifier) analyzeJumps() []jumpRef {
 		addrToIdx[v.dec[i].Addr] = i
 	}
 	// A jump to the end address is the legal kernel exit (the encoder
-	// emits it for the final block's fallthrough), mirroring Reassemble.
+	// emits it for the final block's fallthrough).
 	end := v.dec[n-1].Addr + uint32(v.dec[n-1].Size)
 	addrToIdx[end] = n
 

@@ -37,10 +37,6 @@ type CampaignConfig struct {
 	Seeds int
 	// GenOps is the operation budget per generated program (default 64).
 	GenOps int
-	// Targets defaults to the paper's A–D configurations.
-	Targets []config.Target
-	// Opts applies to every run.
-	Opts Options
 	// LockstepEvery sample-gates intermediate-state diffing: every Nth
 	// generated unit runs with the per-instruction register diff armed
 	// (see Options.Lockstep). 0 selects the default of every 16th
@@ -59,11 +55,6 @@ func (c *CampaignConfig) fill() {
 	if c.GenOps == 0 {
 		c.GenOps = 64
 	}
-	if len(c.Targets) == 0 {
-		c.Targets = []config.Target{
-			config.ConfigA(), config.ConfigB(), config.ConfigC(), config.ConfigD(),
-		}
-	}
 	if c.LockstepEvery == 0 {
 		c.LockstepEvery = 16
 	}
@@ -71,13 +62,20 @@ func (c *CampaignConfig) fill() {
 
 // Spec is the campaign fingerprint a store directory is bound to: the
 // knobs that change unit results without appearing in the unit specs
-// themselves. Seeds and targets are deliberately excluded — growing a
-// stored campaign to more programs or targets reuses every completed
-// unit.
+// themselves. The seed count is deliberately excluded — growing a
+// stored campaign to more programs reuses every completed unit. Every
+// campaign runs with strict memory off; the literal "strict=false"
+// keeps the fingerprints of stores written when that was a setting.
 func (c *CampaignConfig) Spec() string {
 	c.fill()
 	ph := sha256.Sum256([]byte(fmt.Sprintf("%+v", *c.Params)))
-	return fmt.Sprintf("cosim params=%s strict=%v", hex.EncodeToString(ph[:6]), c.Opts.StrictMem)
+	return fmt.Sprintf("cosim params=%s strict=false", hex.EncodeToString(ph[:6]))
+}
+
+// campaignTargets are the targets of every campaign: the paper's A–D
+// configurations.
+func campaignTargets() []config.Target {
+	return []config.Target{config.ConfigA(), config.ConfigB(), config.ConfigC(), config.ConfigD()}
 }
 
 // UnitMatrix enumerates the campaign's deterministic work-unit matrix:
@@ -86,20 +84,21 @@ func (c *CampaignConfig) Spec() string {
 // sample-gated into lockstep mode.
 func (c *CampaignConfig) UnitMatrix() []campaign.Unit {
 	c.fill()
+	targets := campaignTargets()
 	var units []campaign.Unit
 	for _, name := range workloads.Names() {
-		for i := range c.Targets {
+		for i := range targets {
 			units = append(units, campaign.Unit{
-				Kind: KindWorkload, Name: name, Target: c.Targets[i].Name,
+				Kind: KindWorkload, Name: name, Target: targets[i].Name,
 			})
 		}
 	}
 	n := 0
 	for seed := int64(1); seed <= int64(c.Seeds); seed++ {
-		for i := range c.Targets {
+		for i := range targets {
 			u := campaign.Unit{
 				Kind: KindGenerated, Seed: seed, Ops: c.GenOps,
-				Target: c.Targets[i].Name,
+				Target: targets[i].Name,
 			}
 			if c.LockstepEvery > 0 && n%c.LockstepEvery == 0 {
 				u.Lockstep = true
@@ -114,14 +113,15 @@ func (c *CampaignConfig) UnitMatrix() []campaign.Unit {
 // unitRunner executes campaign units; its target map is immutable
 // after construction, so Run is safe for concurrent workers.
 type unitRunner struct {
-	cfg     *CampaignConfig
+	params  workloads.Params
 	targets map[string]*config.Target
 }
 
-func newUnitRunner(cfg *CampaignConfig) *unitRunner {
-	r := &unitRunner{cfg: cfg, targets: make(map[string]*config.Target, len(cfg.Targets))}
-	for i := range cfg.Targets {
-		r.targets[cfg.Targets[i].Name] = &cfg.Targets[i]
+func newUnitRunner(params workloads.Params) *unitRunner {
+	targets := campaignTargets()
+	r := &unitRunner{params: params, targets: make(map[string]*config.Target, len(targets))}
+	for i := range targets {
+		r.targets[targets[i].Name] = &targets[i]
 	}
 	return r
 }
@@ -134,14 +134,13 @@ func (r *unitRunner) Run(ctx context.Context, u campaign.Unit) (campaign.Result,
 	if !ok {
 		return campaign.Result{}, fmt.Errorf("unknown target %q", u.Target)
 	}
-	opts := r.cfg.Opts
-	opts.Lockstep = u.Lockstep
+	opts := Options{Lockstep: u.Lockstep}
 	var res *Result
 	var err error
 	switch u.Kind {
 	case KindWorkload:
 		var w *workloads.Spec
-		w, err = workloads.ByName(u.Name, *r.cfg.Params)
+		w, err = workloads.ByName(u.Name, r.params)
 		if err == nil {
 			res, err = RunWorkload(w, *t, opts)
 		}
@@ -209,7 +208,7 @@ type Campaign struct {
 func RunCampaign(ctx context.Context, cfg CampaignConfig, eng campaign.Config) (*Campaign, error) {
 	cfg.fill()
 	units := cfg.UnitMatrix()
-	r := newUnitRunner(&cfg)
+	r := newUnitRunner(*cfg.Params)
 	out := &Campaign{}
 	eng.Reduce = func(i int, u campaign.Unit, res campaign.Result) {
 		switch {

@@ -340,18 +340,23 @@ func TestStoredDivergenceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCampaignSpec: the store fingerprint follows the params and the
-// strict switch and ignores the seed count.
+// TestCampaignSpec: the store fingerprint follows the params, ignores
+// the seed count, and keeps the exact values stores were written
+// under, so they still resume.
 func TestCampaignSpec(t *testing.T) {
 	base := CampaignConfig{Seeds: 10}
 	more := CampaignConfig{Seeds: 20}
-	strict := CampaignConfig{Opts: Options{StrictMem: true}}
 	full := workloads.Full()
 	big := CampaignConfig{Params: &full}
 	if base.Spec() != more.Spec() {
 		t.Error("seed count changed the spec")
 	}
-	if base.Spec() == strict.Spec() || base.Spec() == big.Spec() {
-		t.Error("strict mode or params left the spec unchanged")
+	for _, c := range []struct{ got, want string }{
+		{base.Spec(), "cosim params=e76b1a90b68a strict=false"},
+		{big.Spec(), "cosim params=502aacb59269 strict=false"},
+	} {
+		if c.got != c.want {
+			t.Errorf("spec = %q, want %q", c.got, c.want)
+		}
 	}
 }

@@ -57,59 +57,40 @@ type RunReport struct {
 	Injected int    // number of fault events the injector fired
 }
 
-// CampaignConfig parameterizes a fault campaign. Zero fields take the
-// documented defaults.
-type CampaignConfig struct {
-	// Workloads are registry names (default: memset, memcpy, filter,
-	// blockwalk_pf — the last so prefetch-path injectors have traffic).
-	Workloads []string
-	// Specs are the injectors to sweep (default: bitflip, loadflip,
-	// lineflip, droppf).
-	Specs []Spec
-	// Seeds is the number of seeds per (workload, injector) pair
-	// (default 13: 4 workloads x 4 injectors x 13 seeds = 208 runs).
-	Seeds int
-	// Params sizes the workloads (default workloads.Small()).
-	Params *workloads.Params
-	// Target is the processor configuration (default config.TM3270()).
-	Target *config.Target
-	// MaxInstrs is the per-run instruction watchdog (default 200M).
-	// It is the run's only bound, so an outcome depends on nothing but
+// The fault campaign's fixed matrix: every injector of campaignSpecs
+// on every workload of campaignWorkloads, campaignSeeds seeds each —
+// 4 x 4 x 13 = 208 classified runs on the TM3270 at workloads.Small()
+// sizes (see build).
+const (
+	campaignSeeds = 13
+	// campaignWatchdog is the per-run instruction bound. It is the
+	// run's only bound, so an outcome depends on nothing but
 	// (workload, spec, seed); cancel the campaign through its context.
-	MaxInstrs int64
+	campaignWatchdog = 200_000_000
+)
+
+// campaignSpecs are the injectors the campaign sweeps.
+var campaignSpecs = []Spec{
+	{Kind: BitFlip, Rate: 0.01, Delay: 200},
+	{Kind: LoadFlip, Rate: 0.002, Delay: 200},
+	{Kind: LineFlip, Rate: 0.05, Delay: 200},
+	{Kind: DropPrefetch, Rate: 0.25, Delay: 200},
 }
 
-func (c *CampaignConfig) fill() {
-	if len(c.Workloads) == 0 {
-		c.Workloads = defaultWorkloads()
-	}
-	if len(c.Specs) == 0 {
-		for _, s := range []string{"bitflip", "loadflip:0.002", "lineflip:0.05", "droppf:0.25"} {
-			sp, _ := ParseSpec(s)
-			c.Specs = append(c.Specs, sp)
-		}
-	}
-	if c.Seeds <= 0 {
-		c.Seeds = 13
-	}
-	if c.Params == nil {
-		p := workloads.Small()
-		c.Params = &p
-	}
-	if c.Target == nil {
-		t := config.TM3270()
-		c.Target = &t
-	}
-	if c.MaxInstrs <= 0 {
-		c.MaxInstrs = 200_000_000
-	}
-}
-
-// defaultWorkloads is the campaign set of both the fault campaign and
+// campaignWorkloads is the workload set of both the fault campaign and
 // the mutant matrix; blockwalk_pf is in it so prefetch-path injectors
 // have traffic.
-func defaultWorkloads() []string {
-	return []string{"memset", "memcpy", "filter", "blockwalk_pf"}
+var campaignWorkloads = []string{"memset", "memcpy", "filter", "blockwalk_pf"}
+
+// build returns the named workload at the campaigns' workloads.Small()
+// sizes and its compilation for the TM3270.
+func build(name string) (*workloads.Spec, *runner.Artifact, error) {
+	w, err := workloads.ByName(name, workloads.Small())
+	if err != nil {
+		return nil, nil, err
+	}
+	art, err := runner.CompileWorkload(w, config.TM3270())
+	return w, art, err
 }
 
 // CampaignResult aggregates a full campaign.
@@ -121,25 +102,24 @@ type CampaignResult struct {
 // Runs returns the total number of classified runs.
 func (r *CampaignResult) Runs() int { return len(r.Reports) }
 
-// RunCampaign executes Seeds seeded runs of every (workload, injector)
-// pair and classifies each as detected (trap or divergence against the
-// sequential reference), masked, or not injected. Every run is bounded
-// by the instruction watchdog, and internal panics surface as traps —
-// a campaign never hangs and never panics. A canceled ctx aborts the
-// run in flight and the campaign returns ctx.Err(). When w is non-nil,
-// one classification line per run is printed.
-func RunCampaign(ctx context.Context, cfg CampaignConfig, w io.Writer) (*CampaignResult, error) {
-	cfg.fill()
+// RunCampaign executes the seeded runs of every (workload, injector)
+// pair of the campaign matrix and classifies each as detected (trap or
+// divergence against the sequential reference), masked, or not
+// injected. Every run is bounded by the instruction watchdog, and
+// internal panics surface as traps — a campaign never hangs and never
+// panics. A canceled ctx aborts the run in flight and the campaign
+// returns ctx.Err(). When w is non-nil, one classification line per
+// run is printed.
+func RunCampaign(ctx context.Context, w io.Writer) (*CampaignResult, error) {
 	res := &CampaignResult{Counts: map[Outcome]int{}}
-	for _, name := range cfg.Workloads {
-		wl, err := setupWorkload(name, cfg)
+	for _, name := range campaignWorkloads {
+		wl, err := setupWorkload(name)
 		if err != nil {
 			return nil, err
 		}
-		for _, spec := range cfg.Specs {
-			for s := 0; s < cfg.Seeds; s++ {
-				seed := int64(s + 1)
-				rep, err := wl.runOne(ctx, cfg, spec, seed)
+		for _, spec := range campaignSpecs {
+			for seed := int64(1); seed <= campaignSeeds; seed++ {
+				rep, err := wl.runOne(ctx, spec, seed)
 				if cerr := ctx.Err(); cerr != nil {
 					return nil, cerr
 				}
@@ -174,12 +154,8 @@ type campaignWorkload struct {
 	ref  *mem.Func
 }
 
-func setupWorkload(name string, cfg CampaignConfig) (*campaignWorkload, error) {
-	w, err := workloads.ByName(name, *cfg.Params)
-	if err != nil {
-		return nil, fmt.Errorf("faults: %s: %w", name, err)
-	}
-	art, err := runner.CompileWorkload(w, *cfg.Target)
+func setupWorkload(name string) (*campaignWorkload, error) {
+	w, art, err := build(name)
 	if err != nil {
 		return nil, fmt.Errorf("faults: %s: %w", name, err)
 	}
@@ -194,7 +170,7 @@ func setupWorkload(name string, cfg CampaignConfig) (*campaignWorkload, error) {
 }
 
 // runOne executes one seeded fault-injected run and classifies it.
-func (cw *campaignWorkload) runOne(ctx context.Context, cfg CampaignConfig, spec Spec, seed int64) (*RunReport, error) {
+func (cw *campaignWorkload) runOne(ctx context.Context, spec Spec, seed int64) (*RunReport, error) {
 	w, ref := cw.w, cw.ref
 	image := mem.NewFunc()
 	if w.Init != nil {
@@ -202,7 +178,7 @@ func (cw *campaignWorkload) runOne(ctx context.Context, cfg CampaignConfig, spec
 			return nil, err
 		}
 	}
-	l := runner.Load(cw.art, image, runner.WithWatchdog(cfg.MaxInstrs))
+	l := runner.Load(cw.art, image, runner.WithWatchdog(campaignWatchdog))
 	for v, val := range w.Args {
 		l.Machine.SetReg(v, val)
 	}

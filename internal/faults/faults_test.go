@@ -2,7 +2,9 @@ package faults_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"tm3270/internal/config"
@@ -47,21 +49,35 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
+// faultCampaign runs the fault campaign once per test binary and shares
+// its result; TestCampaignDeterminism runs it a second time.
+var faultCampaign = sync.OnceValues(func() (*faults.CampaignResult, error) {
+	var sb strings.Builder
+	res, err := faults.RunCampaign(context.Background(), &sb)
+	if err == nil && strings.Count(sb.String(), "\n") != res.Runs() {
+		err = fmt.Errorf("campaign printed %d classification lines for %d runs",
+			strings.Count(sb.String(), "\n"), res.Runs())
+	}
+	return res, err
+})
+
 // TestSpecRoundTrip: every spec the campaign prints replays through
 // ParseSpec (as tm3270sim -inject takes it) to the same injector.
 func TestSpecRoundTrip(t *testing.T) {
-	p := workloads.Small()
-	res, err := faults.RunCampaign(context.Background(), faults.CampaignConfig{
-		Workloads: []string{"memset"}, Seeds: 1, Params: &p}, nil)
+	res, err := faultCampaign()
 	if err != nil {
 		t.Fatal(err)
 	}
+	seen := map[faults.Spec]bool{}
 	var specs []faults.Spec
 	for _, r := range res.Reports {
-		specs = append(specs, r.Spec)
+		if !seen[r.Spec] {
+			seen[r.Spec] = true
+			specs = append(specs, r.Spec)
+		}
 	}
 	if len(specs) != 4 {
-		t.Fatalf("default campaign swept %d injectors, want 4", len(specs))
+		t.Fatalf("campaign swept %d injectors, want 4", len(specs))
 	}
 	for _, c := range parseSpecCases {
 		if !c.isErr {
@@ -81,35 +97,22 @@ func isDetected(o faults.Outcome) bool {
 	return o == faults.DetectedTrap || o == faults.DetectedDivergence
 }
 
-// TestCampaignSmall runs a reduced campaign: every run must classify
-// without a hang or panic, and the memcpy bit-flip runs must detect at
-// least one fault (a flipped source byte propagates to the output).
+// TestCampaignSmall runs the campaign at its workloads.Small() sizes:
+// every run must classify without a hang or panic, and the memcpy
+// bit-flip runs must detect at least one fault (a flipped source byte
+// propagates to the output).
 func TestCampaignSmall(t *testing.T) {
-	p := workloads.Small()
-	cfg := faults.CampaignConfig{
-		Workloads: []string{"memcpy", "blockwalk_pf"},
-		Specs: []faults.Spec{
-			{Kind: faults.BitFlip},
-			{Kind: faults.DropPrefetch, Rate: 0.5},
-		},
-		Seeds:  4,
-		Params: &p,
-	}
-	var sb strings.Builder
-	res, err := faults.RunCampaign(context.Background(), cfg, &sb)
+	res, err := faultCampaign()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Runs() != 2*2*4 {
-		t.Fatalf("campaign ran %d runs, want 16", res.Runs())
+	if res.Runs() != 4*4*13 {
+		t.Fatalf("campaign ran %d runs, want 208", res.Runs())
 	}
 	total := res.Counts[faults.Masked] + res.Counts[faults.NotInjected] +
 		res.Counts[faults.DetectedTrap] + res.Counts[faults.DetectedDivergence]
 	if total != res.Runs() {
 		t.Errorf("outcome counts sum to %d, want %d", total, res.Runs())
-	}
-	if lines := strings.Count(sb.String(), "\n"); lines != res.Runs() {
-		t.Errorf("campaign printed %d classification lines, want %d", lines, res.Runs())
 	}
 
 	// memcpy copies every source byte: a bit flip inside the source
@@ -134,21 +137,14 @@ func TestCampaignSmall(t *testing.T) {
 	}
 }
 
-// TestCampaignDeterminism: the same configuration must reproduce the
-// same classifications and the same injection counts.
+// TestCampaignDeterminism: a second campaign must reproduce the same
+// classifications and the same injection counts.
 func TestCampaignDeterminism(t *testing.T) {
-	p := workloads.Small()
-	cfg := faults.CampaignConfig{
-		Workloads: []string{"memcpy"},
-		Specs:     []faults.Spec{{Kind: faults.BitFlip}, {Kind: faults.LoadFlip, Rate: 0.001}},
-		Seeds:     3,
-		Params:    &p,
-	}
-	a, err := faults.RunCampaign(context.Background(), cfg, nil)
+	a, err := faultCampaign()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := faults.RunCampaign(context.Background(), cfg, nil)
+	b, err := faults.RunCampaign(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,34 +161,11 @@ func TestCampaignDeterminism(t *testing.T) {
 // TestCampaignCanceled: a canceled context stops the campaign and
 // returns ctx.Err() itself, not a classified trap.
 func TestCampaignCanceled(t *testing.T) {
-	p := workloads.Small()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := faults.RunCampaign(ctx, faults.CampaignConfig{
-		Workloads: []string{"memcpy"}, Seeds: 2, Params: &p}, nil)
+	res, err := faults.RunCampaign(ctx, nil)
 	if err != ctx.Err() {
 		t.Fatalf("canceled campaign returned (%v, %v), want ctx.Err() = %v", res, err, ctx.Err())
-	}
-}
-
-// TestBusDelayIsTimingOnly: bus-latency spikes slow the run down but
-// must never change functional state.
-func TestBusDelayIsTimingOnly(t *testing.T) {
-	p := workloads.Small()
-	cfg := faults.CampaignConfig{
-		Workloads: []string{"filter"},
-		Specs:     []faults.Spec{{Kind: faults.BusDelay, Rate: 0.2, Delay: 300}},
-		Seeds:     3,
-		Params:    &p,
-	}
-	res, err := faults.RunCampaign(context.Background(), cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range res.Reports {
-		if isDetected(r.Outcome) {
-			t.Errorf("busdelay seed %d: %s (%s), want never detected", r.Seed, r.Outcome, r.Detail)
-		}
 	}
 }
 

@@ -28,37 +28,21 @@ const (
 	StatusSilent   = "silent"
 )
 
-// MatrixConfig scales a mutant × machine-seed matrix campaign. Zero
-// fields take the documented defaults.
+// MatrixConfig scales a mutant × machine-seed matrix campaign over the
+// fault campaign's workloads, built as the fault campaign builds them.
+// Zero fields take the documented defaults.
 type MatrixConfig struct {
-	// Workloads are registry names (default: the fault campaign set).
-	Workloads []string
 	// Mutants is the number of seeded single-bit image flips per
 	// workload (default 64).
 	Mutants int
-	// Params sizes the workloads (default workloads.Small()).
-	Params *workloads.Params
-	// Target is the processor configuration (default config.TM3270()).
-	Target *config.Target
 	// MSeeds is the number of machine seeds per mutant, including the
 	// unperturbed baseline seed 0 (default 5: baseline + 4 perturbed).
 	MSeeds int
 }
 
 func (c *MatrixConfig) fill() {
-	if len(c.Workloads) == 0 {
-		c.Workloads = defaultWorkloads()
-	}
 	if c.Mutants <= 0 {
 		c.Mutants = 64
-	}
-	if c.Params == nil {
-		p := workloads.Small()
-		c.Params = &p
-	}
-	if c.Target == nil {
-		t := config.TM3270()
-		c.Target = &t
 	}
 	if c.MSeeds <= 0 {
 		c.MSeeds = 5
@@ -68,11 +52,10 @@ func (c *MatrixConfig) fill() {
 // Spec is the matrix campaign's store fingerprint. Workloads, mutant
 // counts and machine seeds live in the unit specs, so a stored
 // campaign grows to more mutants or seeds by pure cache extension;
-// the params and target shape unit results without appearing in them,
-// so they bind the store.
+// the workload params and the target shape unit results without
+// appearing in them, so they bind the store.
 func (c *MatrixConfig) Spec() string {
-	c.fill()
-	ph := sha256.Sum256([]byte(fmt.Sprintf("%+v|%+v", *c.Params, *c.Target)))
+	ph := sha256.Sum256([]byte(fmt.Sprintf("%+v|%+v", workloads.Small(), config.TM3270())))
 	return fmt.Sprintf("mutmatrix params=%s", hex.EncodeToString(ph[:6]))
 }
 
@@ -82,11 +65,12 @@ func (c *MatrixConfig) Spec() string {
 func (c *MatrixConfig) UnitMatrix() []campaign.Unit {
 	c.fill()
 	var units []campaign.Unit
-	for _, name := range c.Workloads {
+	target := config.TM3270().Name
+	for _, name := range campaignWorkloads {
 		for mut := int64(1); mut <= int64(c.Mutants); mut++ {
 			for ms := int64(0); ms < int64(c.MSeeds); ms++ {
 				units = append(units, campaign.Unit{
-					Kind: KindMutant, Name: name, Target: c.Target.Name,
+					Kind: KindMutant, Name: name, Target: target,
 					Mutant: mut, MSeed: ms,
 				})
 			}
@@ -100,15 +84,13 @@ func (c *MatrixConfig) UnitMatrix() []campaign.Unit {
 // a mutex; the cached values are immutable afterwards, so concurrent
 // unit runs share them safely.
 type matrixRunner struct {
-	cfg     *MatrixConfig
 	mu      sync.Mutex
 	targets map[string]*mutTarget
 	goldens map[string]*golden
 }
 
-func newMatrixRunner(cfg *MatrixConfig) *matrixRunner {
+func newMatrixRunner() *matrixRunner {
 	return &matrixRunner{
-		cfg:     cfg,
 		targets: map[string]*mutTarget{},
 		goldens: map[string]*golden{},
 	}
@@ -120,7 +102,7 @@ func (r *matrixRunner) target(name string) (*mutTarget, error) {
 	if mt, ok := r.targets[name]; ok {
 		return mt, nil
 	}
-	mt, err := newMutTarget(name, r.cfg)
+	mt, err := newMutTarget(name)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +117,7 @@ func (r *matrixRunner) golden(mt *mutTarget, name string, mseed int64) (*golden,
 	if g, ok := r.goldens[key]; ok {
 		return g, nil
 	}
-	g, err := mt.goldenRun(r.cfg.Target, mseed)
+	g, err := mt.goldenRun(mseed)
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +136,7 @@ func (r *matrixRunner) Run(ctx context.Context, u campaign.Unit) (campaign.Resul
 	}
 	img := make([]byte, len(mt.enc))
 	mt.mutate(u.Mutant, img)
-	o, dec := mt.classify(img, r.cfg.Target)
+	o, dec := mt.classify(img)
 	if o != StaticMissed {
 		return campaign.Result{Status: o.String()}, nil
 	}
@@ -162,7 +144,7 @@ func (r *matrixRunner) Run(ctx context.Context, u campaign.Unit) (campaign.Resul
 	if err != nil {
 		return campaign.Result{}, err
 	}
-	mut := mt.newRef(dec, r.cfg.Target, u.MSeed)
+	mut := mt.newRef(dec, u.MSeed)
 	mut.MaxInstrs = gold.budget()
 	detected := diffDetects(mut, gold)
 	res := campaign.Result{Status: StatusDetected, Instrs: mut.Issue()}
@@ -260,9 +242,9 @@ func (r *MatrixResult) PrintSummary(w io.Writer) {
 func RunMatrixCampaign(ctx context.Context, cfg MatrixConfig, eng campaign.Config) (*MatrixResult, error) {
 	cfg.fill()
 	units := cfg.UnitMatrix()
-	r := newMatrixRunner(&cfg)
+	r := newMatrixRunner()
 	out := &MatrixResult{
-		Workloads: len(cfg.Workloads),
+		Workloads: len(campaignWorkloads),
 		Mutants:   cfg.Mutants,
 		MSeeds:    cfg.MSeeds,
 	}

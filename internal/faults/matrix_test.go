@@ -80,25 +80,26 @@ func TestMatrixBaselineSeedBeatsStatic(t *testing.T) {
 	}
 }
 
-// TestStaticCampaignFlagsMutants runs a reduced matrix and asserts the
+// TestStaticCampaignFlagsMutants runs a reduced matrix (12 mutants
+// per workload, baseline seed only) and asserts the
 // static acceptance property: every mutant is classified once, some
 // still-decodable mutants change the instruction stream, and the
 // verifier flags a nonzero fraction of them before execution.
 func TestStaticCampaignFlagsMutants(t *testing.T) {
-	cfg := faults.MatrixConfig{Workloads: []string{"memcpy", "filter"}, Mutants: 48, MSeeds: 1}
+	cfg := faults.MatrixConfig{Mutants: 12, MSeeds: 1}
 	res, err := faults.RunMatrixCampaign(context.Background(), cfg, campaign.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Workloads != 2 || res.Mutants != 48 {
-		t.Fatalf("matrix %d × %d, want 2 × 48", res.Workloads, res.Mutants)
+	if res.Workloads != 4 || res.Mutants != 12 {
+		t.Fatalf("matrix %d × %d, want 4 × 12", res.Workloads, res.Mutants)
 	}
 	total := 0
 	for _, n := range res.Static {
 		total += n
 	}
-	if total != 2*48 {
-		t.Errorf("classified %d mutants, want %d", total, 2*48)
+	if total != 4*12 {
+		t.Errorf("classified %d mutants, want %d", total, 4*12)
 	}
 	if res.Static[faults.StaticFlagged] == 0 {
 		t.Errorf("no mutant was flagged statically: %v", res.Static)
@@ -116,7 +117,7 @@ func TestStaticCampaignFlagsMutants(t *testing.T) {
 // TestStaticCampaignIsDeterministic: same seeds, same static
 // classification.
 func TestStaticCampaignIsDeterministic(t *testing.T) {
-	cfg := faults.MatrixConfig{Workloads: []string{"memset"}, Mutants: 32, MSeeds: 1}
+	cfg := faults.MatrixConfig{Mutants: 8, MSeeds: 1}
 	a, err := faults.RunMatrixCampaign(context.Background(), cfg, campaign.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +134,7 @@ func TestStaticCampaignIsDeterministic(t *testing.T) {
 // TestDifferentialDeterminism: same seeds, same mutants, same
 // per-seed detection and the same silent mutants.
 func TestDifferentialDeterminism(t *testing.T) {
-	cfg := faults.MatrixConfig{Workloads: []string{"memset"}, Mutants: 32, MSeeds: 2}
+	cfg := faults.MatrixConfig{Mutants: 8, MSeeds: 2}
 	a, err := faults.RunMatrixCampaign(context.Background(), cfg, campaign.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +155,7 @@ func TestDifferentialDeterminism(t *testing.T) {
 // cache-read re-run produce byte-identical aggregates, and so do two
 // fresh in-memory runs on one worker and on four.
 func TestMatrixResumeByteIdentical(t *testing.T) {
-	cfg := faults.MatrixConfig{Workloads: []string{"memset"}, Mutants: 16, MSeeds: 2}
+	cfg := faults.MatrixConfig{Mutants: 4, MSeeds: 2}
 	dir := filepath.Join(t.TempDir(), "store")
 	runOnce := func() (*faults.MatrixResult, []byte) {
 		st, err := campaign.Open(dir, campaign.Shard{}.Label(), cfg.Spec())
@@ -200,5 +201,17 @@ func TestMatrixResumeByteIdentical(t *testing.T) {
 	}
 	if serial, par := inMemory(1), inMemory(4); !bytes.Equal(serial, par) {
 		t.Errorf("aggregates differ across worker counts:\n1 worker:\n%s\n4 workers:\n%s", serial, par)
+	}
+}
+
+// TestMatrixSpec: the matrix store fingerprint ignores the mutant and
+// machine-seed counts and keeps the exact value stores were written
+// under, so they still resume.
+func TestMatrixSpec(t *testing.T) {
+	const want = "mutmatrix params=1adaa4ec8084"
+	for _, cfg := range []faults.MatrixConfig{{}, {Mutants: 4, MSeeds: 2}} {
+		if got := cfg.Spec(); got != want {
+			t.Errorf("%+v: spec = %q, want %q", cfg, got, want)
+		}
 	}
 }

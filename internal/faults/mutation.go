@@ -11,7 +11,6 @@ import (
 	"tm3270/internal/mem"
 	"tm3270/internal/prefetch"
 	"tm3270/internal/refmodel"
-	"tm3270/internal/runner"
 	"tm3270/internal/tmsim"
 	"tm3270/internal/workloads"
 )
@@ -69,10 +68,11 @@ func (g *golden) budget() int64 {
 }
 
 // mutTarget is one workload prepared for the mutant matrix: the
-// encoded golden image, its decoded baseline stream, the binverify
+// target it was compiled for, the encoded golden image, its decoded baseline stream, the binverify
 // semantic contract, and the initial memory image. Every unit of one
 // workload classifies its mutant against the same prepared target.
 type mutTarget struct {
+	target   config.Target
 	w        *workloads.Spec
 	enc      []byte // encoded golden image
 	n        int    // instruction count
@@ -84,15 +84,12 @@ type mutTarget struct {
 // newMutTarget compiles and verifies the workload's golden image. The
 // baseline must be verifier-clean so every diagnostic on a mutant is
 // attributable to the flip.
-func newMutTarget(name string, cfg *MatrixConfig) (*mutTarget, error) {
-	w, err := workloads.ByName(name, *cfg.Params)
+func newMutTarget(name string) (*mutTarget, error) {
+	w, art, err := build(name)
 	if err != nil {
 		return nil, err
 	}
-	art, err := runner.CompileWorkload(w, *cfg.Target)
-	if err != nil {
-		return nil, err
-	}
+	target := config.TM3270()
 	n := art.SchedInstrs()
 	baseline, err := encode.Decode(art.Enc.Bytes, tmsim.CodeBase, n)
 	if err != nil {
@@ -103,7 +100,7 @@ func newMutTarget(name string, cfg *MatrixConfig) (*mutTarget, error) {
 	// computation or a loop exit land in the range and loop analyses,
 	// not only the structural ones.
 	opts := art.VerifyOptions(w)
-	if rep := binverify.Verify(baseline, cfg.Target, opts); !rep.Clean() {
+	if rep := binverify.Verify(baseline, &target, opts); !rep.Clean() {
 		return nil, fmt.Errorf("baseline image is not verifier-clean (%d diagnostics)", len(rep.Diags))
 	}
 	init := mem.NewFunc()
@@ -112,7 +109,7 @@ func newMutTarget(name string, cfg *MatrixConfig) (*mutTarget, error) {
 			return nil, fmt.Errorf("init: %w", err)
 		}
 	}
-	return &mutTarget{w: w, enc: art.Enc.Bytes, n: n, baseline: baseline, opts: opts, init: init}, nil
+	return &mutTarget{target: target, w: w, enc: art.Enc.Bytes, n: n, baseline: baseline, opts: opts, init: init}, nil
 }
 
 // mutate writes the seeded single-bit mutant of the golden image into
@@ -134,7 +131,7 @@ func (t *mutTarget) mutate(seed int64, img []byte) {
 // under every machine seed — but a mutant that reads a stray register
 // or a stray address now sees seed-dependent noise instead of the
 // masking zeros a single fixed initial state offers.
-func (t *mutTarget) newRef(dec []encode.DecInstr, target *config.Target, mseed int64) *refmodel.Machine {
+func (t *mutTarget) newRef(dec []encode.DecInstr, mseed int64) *refmodel.Machine {
 	image := refmodel.MemFrom(t.init)
 	if mseed != 0 {
 		rng := rand.New(rand.NewSource(mseed * 0x9E3779B9))
@@ -147,7 +144,7 @@ func (t *mutTarget) newRef(dec []encode.DecInstr, target *config.Target, mseed i
 			}
 		}
 	}
-	ref := refmodel.New(dec, *target, image)
+	ref := refmodel.New(dec, t.target, image)
 	if mseed != 0 {
 		rng := rand.New(rand.NewSource(mseed ^ 0x5DEECE66D))
 		for r := isa.Reg(2); int(r) < isa.NumRegs; r++ {
@@ -164,8 +161,8 @@ func (t *mutTarget) newRef(dec []encode.DecInstr, target *config.Target, mseed i
 
 // goldenRun executes the pristine binary under one machine seed; a
 // trapped golden run is a harness failure, not a finding.
-func (t *mutTarget) goldenRun(target *config.Target, mseed int64) (*golden, error) {
-	ref := t.newRef(t.baseline, target, mseed)
+func (t *mutTarget) goldenRun(mseed int64) (*golden, error) {
+	ref := t.newRef(t.baseline, mseed)
 	if tr := ref.Run(); tr != nil {
 		return nil, fmt.Errorf("golden run (machine seed %d) trapped: %v", mseed, tr)
 	}
@@ -176,14 +173,14 @@ func (t *mutTarget) goldenRun(target *config.Target, mseed int64) (*golden, erro
 // the stream comparison against the baseline, then the binverify
 // static verifier. For StaticMissed mutants the decoded stream is
 // returned for the differential stage.
-func (t *mutTarget) classify(img []byte, target *config.Target) (StaticOutcome, []encode.DecInstr) {
+func (t *mutTarget) classify(img []byte) (StaticOutcome, []encode.DecInstr) {
 	dec, err := encode.Decode(img, tmsim.CodeBase, t.n)
 	switch {
 	case err != nil:
 		return StaticRejected, nil
 	case streamsEqual(dec, t.baseline):
 		return StaticMasked, nil
-	case !binverify.Verify(dec, target, t.opts).Clean():
+	case !binverify.Verify(dec, &t.target, t.opts).Clean():
 		return StaticFlagged, nil
 	}
 	return StaticMissed, dec

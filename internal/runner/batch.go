@@ -31,7 +31,7 @@ type JobResult struct {
 //
 // Determinism: the simulator is deterministic, the spec and artifact a
 // job runs are immutable values shared through the cache, and every run
-// owns the rest (its memory image, machine and telemetry sink), so the
+// owns the rest (its memory image and machine, counters included), so the
 // Parallel setting changes wall-clock time and nothing else — results
 // are identical to a serial run of the same jobs, which the bench
 // golden test asserts byte-for-byte.

@@ -46,14 +46,6 @@ func loadWith(a *Artifact, image *mem.Func, o *Options) *Loaded {
 	m := tmsim.Load(a.Code, a.RegMap, a.Enc, image)
 	m.MaxInstrs = o.Watchdog
 	m.StrictMem = o.StrictMem
-	if o.Telemetry != nil {
-		if o.Telemetry.Trace != nil {
-			m.SetEventTrace(o.Telemetry.Trace)
-		}
-		if o.Telemetry.EnableProfile {
-			o.Telemetry.Profile = m.EnableProfile()
-		}
-	}
 	if o.Setup != nil {
 		o.Setup(m)
 	}

@@ -3,13 +3,13 @@
 // RunContext or as a concurrent batch via Batch.
 //
 // The design is instance-scoped throughout — every run gets its own
-// memory image, machine and telemetry sink, and workload specs and
-// compile artifacts are immutable — so any number of runs may proceed
-// concurrently without shared mutable state. Batch adds bounded
-// parallelism, a cache building each spec and artifact once per
-// (workload, params, target), and deterministic ordered aggregation:
-// results come back in job order, making a parallel batch
-// byte-identical to a serial one.
+// memory image and machine (counters, event trace and profile
+// included), and workload specs and compile artifacts are immutable —
+// so any number of runs may proceed concurrently without shared
+// mutable state. Batch adds bounded parallelism, a cache building each
+// spec and artifact once per (workload, params, target), and
+// deterministic ordered aggregation: results come back in job order,
+// making a parallel batch byte-identical to a serial one.
 package runner
 
 import (
@@ -19,33 +19,9 @@ import (
 	"tm3270/internal/config"
 	"tm3270/internal/mem"
 	"tm3270/internal/power"
-	"tm3270/internal/telemetry"
 	"tm3270/internal/tmsim"
 	"tm3270/internal/workloads"
 )
-
-// Telemetry is the instance-scoped observability sink of one run. The
-// caller arms the inputs (an event trace, the profile switch); the run
-// fills the outputs — even when the run traps, so the events leading to
-// a fault stay inspectable. One sink serves exactly one run: sharing a
-// sink between concurrent runs is a data race by construction, which is
-// precisely what the per-run injection exists to prevent.
-type Telemetry struct {
-	// Trace, when non-nil, receives the structured event trace
-	// (allocate it with telemetry.NewTrace).
-	Trace *telemetry.Trace
-
-	// EnableProfile allocates the per-PC cycle-attribution profile.
-	EnableProfile bool
-
-	// Profile is the cycle-attribution profile (output; nil unless
-	// EnableProfile was set).
-	Profile *telemetry.Profile
-
-	// Snapshot is the point-in-time counter dump taken when the run
-	// finished or trapped (output).
-	Snapshot telemetry.Snapshot
-}
 
 // Options collects the per-run knobs. The zero value is a plain
 // checked run; functional options (With*) adjust it.
@@ -56,15 +32,13 @@ type Options struct {
 	StrictMem bool
 	// Verify gates execution on the whole-program static verifier.
 	Verify bool
-	// Telemetry, when non-nil, is the run's observability sink.
-	Telemetry *Telemetry
 	// Artifact, when non-nil, skips compilation and loads the machine
 	// from this precompiled build product (the cache path). It must be
 	// the compilation of the run's spec, or of a spec built by the same
 	// name and params: construction is deterministic, so the two match.
 	Artifact *Artifact
 	// Setup, when non-nil, runs against the constructed machine before
-	// execution (issue tracing, fault injection).
+	// execution (issue tracing, event trace, profile, fault injection).
 	Setup func(*tmsim.Machine)
 }
 
@@ -80,9 +54,6 @@ func WithStrictMem(on bool) Option { return func(o *Options) { o.StrictMem = on 
 // WithVerify statically verifies the decoded binary before the first
 // cycle executes and refuses the run on any error-severity diagnostic.
 func WithVerify(on bool) Option { return func(o *Options) { o.Verify = on } }
-
-// WithTelemetry attaches a per-run observability sink.
-func WithTelemetry(t *Telemetry) Option { return func(o *Options) { o.Telemetry = t } }
 
 // WithArtifact runs a precompiled artifact instead of compiling. The
 // artifact is read-only, so any number of concurrent runs may share it
@@ -135,9 +106,10 @@ func (r *Result) Activity() power.Activity {
 //
 // When the failure happens at or after execution (a trap, a canceled
 // context, a failed output check), the returned Result is still
-// populated alongside the error, so diagnostics — the machine state,
-// the artifact, an armed telemetry sink — remain inspectable. Failures
-// before a machine exists (compile, verify, init) return a nil Result.
+// populated alongside the error, so diagnostics — the machine state
+// (counters, event trace and profile included) and the artifact —
+// remain inspectable. Failures before a machine exists (compile,
+// verify, init) return a nil Result.
 func RunContext(ctx context.Context, w *workloads.Spec, t config.Target, opts ...Option) (*Result, error) {
 	var o Options
 	for _, opt := range opts {
@@ -174,9 +146,6 @@ func RunContext(ctx context.Context, w *workloads.Spec, t config.Target, opts ..
 	res := &Result{Workload: w.Name, Target: t, Machine: m, Artifact: art}
 	runErr := ld.RunContext(ctx)
 	res.Stats = m.Stats
-	if o.Telemetry != nil {
-		o.Telemetry.Snapshot = m.Registry().Snapshot()
-	}
 	if runErr != nil {
 		return res, fmt.Errorf("%s on %s: %w", w.Name, t.Name, runErr)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"tm3270/internal/config"
 	"tm3270/internal/runner"
+	"tm3270/internal/telemetry"
 	"tm3270/internal/tmsim"
 	"tm3270/internal/workloads"
 )
@@ -94,12 +95,10 @@ func TestRunContextCanceled(t *testing.T) {
 }
 
 // TestRunContextWatchdog: WithWatchdog bounds issued instructions and
-// the partial result still carries machine state and filled telemetry.
+// the partial result still carries the machine and its counters.
 func TestRunContextWatchdog(t *testing.T) {
-	sink := &runner.Telemetry{}
 	res, err := runner.RunContext(context.Background(), spec(t, "memcpy"), config.ConfigD(),
-		runner.WithWatchdog(16),
-		runner.WithTelemetry(sink))
+		runner.WithWatchdog(16))
 	var trap *tmsim.TrapError
 	if !errors.As(err, &trap) || trap.Kind != tmsim.TrapWatchdog {
 		t.Fatalf("want TrapWatchdog, got %v", err)
@@ -107,10 +106,11 @@ func TestRunContextWatchdog(t *testing.T) {
 	if res == nil || res.Stats.Instrs == 0 {
 		t.Fatal("trapped run must return partial stats")
 	}
-	if len(sink.Snapshot) == 0 {
-		t.Error("telemetry sink not filled on trap")
+	snap := res.Machine.Registry().Snapshot()
+	if len(snap) == 0 {
+		t.Error("trapped run's machine has no counters")
 	}
-	if got := sink.Snapshot.Get("sim.cycles"); got != res.Stats.Cycles {
+	if got := snap.Get("sim.cycles"); got != res.Stats.Cycles {
 		t.Errorf("snapshot sim.cycles = %d, stats say %d", got, res.Stats.Cycles)
 	}
 }
@@ -118,16 +118,19 @@ func TestRunContextWatchdog(t *testing.T) {
 // TestRunContextOptions exercises the remaining per-run knobs on a
 // clean run: static verification gate, profile, strict memory.
 func TestRunContextOptions(t *testing.T) {
-	sink := &runner.Telemetry{EnableProfile: true}
+	var prof *telemetry.Profile
 	res, err := runner.RunContext(context.Background(), spec(t, "memcpy"), config.ConfigD(),
 		runner.WithVerify(true),
 		runner.WithStrictMem(true),
-		runner.WithTelemetry(sink))
+		runner.WithMachineSetup(func(m *tmsim.Machine) { prof = m.EnableProfile() }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sink.Profile == nil {
-		t.Error("EnableProfile did not produce a profile")
+	if prof == nil {
+		t.Fatal("EnableProfile in the machine setup produced no profile")
+	}
+	if got := prof.TotalCycles(); got != res.Stats.Cycles {
+		t.Errorf("profile attributes %d cycles, stats say %d", got, res.Stats.Cycles)
 	}
 	if res.CodeBytes() == 0 || res.SchedInstrs() == 0 || res.OPIStatic() <= 0 {
 		t.Error("artifact-derived result stats missing")

@@ -192,14 +192,15 @@ func staticBenchArtifact(b *testing.B) (*runner.Artifact, *config.Target, *binve
 // slab and the dominator pass to keep only an idom tree, 50,793 since
 // the decoder carves its operations from one slab, 39,157 (5.5 MB)
 // since the range fixpoint keeps one state per chain leader instead of
-// one per instruction (15.6 MB before), and 16,329 (2.9 MB) since the
+// one per instruction (15.6 MB before), 16,329 (2.9 MB) since the
 // latency pass keeps its states at chain leaders too and the verifier
-// carves every op's operands from one slab. A change that brings back
-// per-node, per-round, per-slot or per-operand allocations, or a
-// per-instruction state, fails here, deterministically, long before it
-// shows in a timing.
+// carves every op's operands from one slab, and 9,092 (2.3 MB) since
+// it carves every instruction's ops from one exactly sized slab. A
+// change that brings back per-node, per-round, per-slot, per-op or
+// per-operand allocations, or a per-instruction state, fails here,
+// deterministically, long before it shows in a timing.
 func TestVerifyAllocs(t *testing.T) {
-	const measured, measuredBytes = 16329, 2874600
+	const measured, measuredBytes = 9092, 2317000
 	w, err := workloads.ByName("mpeg2_super", workloads.Full())
 	if err != nil {
 		t.Fatal(err)

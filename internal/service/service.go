@@ -57,9 +57,6 @@ type Config struct {
 	// RetryAfter is the backoff hint attached to every shed response
 	// (default 1s).
 	RetryAfter time.Duration
-	// Cache memoizes compile artifacts across sessions; nil allocates a
-	// private one.
-	Cache *runner.Cache
 	// BeforeRun, when non-nil, is invoked on the worker goroutine
 	// before each run executes, inside the panic-isolation scope. The
 	// chaos suite uses it to inject worker-level failures; production
@@ -89,9 +86,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.RetryAfter <= 0 {
 		out.RetryAfter = time.Second
-	}
-	if out.Cache == nil {
-		out.Cache = runner.NewCache()
 	}
 	return out
 }
@@ -160,7 +154,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:        c,
-		cache:      c.Cache,
+		cache:      runner.NewCache(),
 		pool:       runner.NewPool(c.Workers, c.QueueDepth),
 		reg:        telemetry.NewRegistry(),
 		spans:      telemetry.NewSpans(c.SpanCap),
@@ -207,7 +201,7 @@ func (s *Server) register() {
 	// Per-stage latency histograms: each observed exactly once per
 	// admitted run, so bucket sums equal service.runs.admitted (the
 	// smoke test's well-formedness assertion).
-	newH := func() *telemetry.Histogram { return telemetry.NewHistogram(nil) }
+	newH := func() *telemetry.Histogram { return telemetry.NewHistogram() }
 	s.lat.admit = newH()
 	s.lat.queue = newH()
 	s.lat.compile = newH()
@@ -225,7 +219,7 @@ func (s *Server) register() {
 	// every request of the route (shed and error responses included).
 	s.lat.route = make(map[string]*telemetry.Histogram)
 	rt := func(label string) *telemetry.Histogram {
-		h := telemetry.NewHistogram(nil)
+		h := telemetry.NewHistogram()
 		s.lat.route[label] = h
 		return h
 	}

@@ -9,20 +9,13 @@ import (
 	"testing"
 	"time"
 
-	"tm3270/internal/runner"
 	"tm3270/internal/service"
 )
 
 // newServer builds a test server with a tight config and returns it
-// with its HTTP wrapper. The shared cache keeps compile costs to one
-// per (workload, params, target) across the whole test binary.
-var sharedCache = runner.NewCache()
-
+// with its HTTP wrapper.
 func newServer(t *testing.T, cfg service.Config) (*service.Server, *httptest.Server) {
 	t.Helper()
-	if cfg.Cache == nil {
-		cfg.Cache = sharedCache
-	}
 	srv := service.New(cfg)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {

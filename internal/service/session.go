@@ -642,12 +642,6 @@ func (s *Server) execute(sess *Session, req RunRequest, seq int64, ri *requestIn
 		inj = faults.New(spec, req.Seed)
 		ropts = append(ropts, runner.WithMachineSetup(func(m *tmsim.Machine) { inj.Arm(m) }))
 	}
-	// The sink is always armed: the retained run trace carries the
-	// final counter snapshot (stall split included) even when the
-	// client did not ask for counters in the reply.
-	sink := &runner.Telemetry{}
-	ropts = append(ropts, runner.WithTelemetry(sink))
-
 	eSpan := ri.Span().StartChild("execute")
 	execStart := time.Now()
 	res, runErr := runner.RunContext(ctx, w, sess.target, ropts...)
@@ -663,11 +657,14 @@ func (s *Server) execute(sess *Session, req RunRequest, seq int64, ri *requestIn
 		s.c.bcTranslated.Add(bc.Translated)
 		s.c.bcHits.Add(bc.Hits)
 		res.Machine.AnnotateSpan(eSpan)
+		// The retained run trace carries the final counter snapshot
+		// (stall split included) even when the client did not ask for
+		// counters in the reply.
+		snap = res.Machine.Registry().Snapshot()
 	}
 	eSpan.End()
-	snap = sink.Snapshot
 	if req.Telemetry {
-		rep.Counters = sink.Snapshot
+		rep.Counters = snap
 	}
 	if inj != nil {
 		rep.Faults = len(inj.Events)

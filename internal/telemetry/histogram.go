@@ -6,11 +6,10 @@ import (
 	"time"
 )
 
-// DefaultLatencyBuckets is the fixed bucket ladder of the service
-// latency histograms: a 1-2.5-5 decade ladder from 100µs to 30s. The
-// ladder is part of the metrics schema — changing it invalidates
-// recorded snapshots — so new histogram families should reuse it
-// unless their dynamic range genuinely differs.
+// DefaultLatencyBuckets is the fixed bucket ladder of every latency
+// histogram: a 1-2.5-5 decade ladder from 100µs to 30s. The ladder is
+// part of the metrics schema — changing it invalidates recorded
+// snapshots.
 var DefaultLatencyBuckets = []time.Duration{
 	100 * time.Microsecond,
 	250 * time.Microsecond,
@@ -37,27 +36,13 @@ var DefaultLatencyBuckets = []time.Duration{
 // values above the last bound land in the overflow bucket. Reads go
 // through Snapshot, which derives count, sum and p50/p95/p99.
 type Histogram struct {
-	bounds []time.Duration
-	counts []atomic.Int64 // len(bounds)+1; the last cell is the overflow bucket
+	counts []atomic.Int64 // len(DefaultLatencyBuckets)+1; the last cell is the overflow bucket
 	sum    atomic.Int64   // nanoseconds
 }
 
-// NewHistogram builds a histogram over the given ascending bucket
-// upper bounds; nil or empty selects DefaultLatencyBuckets. Bounds are
-// registration-time wiring, so a non-ascending ladder panics.
-func NewHistogram(bounds []time.Duration) *Histogram {
-	if len(bounds) == 0 {
-		bounds = DefaultLatencyBuckets
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("telemetry: histogram bounds must be strictly ascending") //tmvet:allow registration-time wiring bug
-		}
-	}
-	return &Histogram{
-		bounds: append([]time.Duration(nil), bounds...),
-		counts: make([]atomic.Int64, len(bounds)+1),
-	}
+// NewHistogram builds an empty histogram over DefaultLatencyBuckets.
+func NewHistogram() *Histogram {
+	return &Histogram{counts: make([]atomic.Int64, len(DefaultLatencyBuckets)+1)}
 }
 
 // Observe records one latency sample. Negative values clamp to zero.
@@ -65,7 +50,8 @@ func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	i := sort.Search(len(h.bounds), func(i int) bool { return h.bounds[i] >= d })
+	bounds := DefaultLatencyBuckets
+	i := sort.Search(len(bounds), func(i int) bool { return bounds[i] >= d })
 	h.counts[i].Add(1) // i == len(bounds) is the overflow bucket
 	h.sum.Add(int64(d))
 }
@@ -88,11 +74,12 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 // view: Count is defined as the sum of the captured bucket counts, so
 // the bucket-sum identity holds in every snapshot by construction.
 func (h *Histogram) Snapshot() HistogramSnapshot {
+	bounds := DefaultLatencyBuckets
 	s := HistogramSnapshot{
-		BoundsUS: make([]int64, len(h.bounds)),
+		BoundsUS: make([]int64, len(bounds)),
 		Counts:   make([]int64, len(h.counts)),
 	}
-	for i, b := range h.bounds {
+	for i, b := range bounds {
 		s.BoundsUS[i] = b.Microseconds()
 	}
 	for i := range h.counts {
@@ -101,9 +88,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.Count += c
 	}
 	s.SumUS = time.Duration(h.sum.Load()).Microseconds()
-	s.P50US = snapQuantile(h.bounds, s.Counts, s.Count, 0.50).Microseconds()
-	s.P95US = snapQuantile(h.bounds, s.Counts, s.Count, 0.95).Microseconds()
-	s.P99US = snapQuantile(h.bounds, s.Counts, s.Count, 0.99).Microseconds()
+	s.P50US = snapQuantile(bounds, s.Counts, s.Count, 0.50).Microseconds()
+	s.P95US = snapQuantile(bounds, s.Counts, s.Count, 0.95).Microseconds()
+	s.P99US = snapQuantile(bounds, s.Counts, s.Count, 0.99).Microseconds()
 	return s
 }
 

@@ -8,19 +8,22 @@ import (
 )
 
 func TestHistogramBucketBoundaries(t *testing.T) {
-	h := NewHistogram([]time.Duration{time.Millisecond, 10 * time.Millisecond})
+	b := DefaultLatencyBuckets
+	top := len(b) - 1
+	h := NewHistogram()
 	// Bounds are inclusive: a sample exactly on a bound lands in that
 	// bound's bucket; one tick past it spills into the next.
 	h.Observe(0)
-	h.Observe(time.Millisecond)                   // bucket 0 (inclusive)
-	h.Observe(time.Millisecond + time.Nanosecond) // bucket 1
-	h.Observe(10 * time.Millisecond)              // bucket 1 (inclusive)
-	h.Observe(10*time.Millisecond + 1)            // overflow
-	h.Observe(time.Hour)                          // overflow
-	h.Observe(-time.Second)                       // negative clamps to 0 → bucket 0
+	h.Observe(b[0])                   // bucket 0 (inclusive)
+	h.Observe(b[0] + time.Nanosecond) // bucket 1
+	h.Observe(b[top])                 // last finite bucket (inclusive)
+	h.Observe(b[top] + 1)             // overflow
+	h.Observe(time.Hour)              // overflow
+	h.Observe(-time.Second)           // negative clamps to 0 → bucket 0
 
 	s := h.Snapshot()
-	want := []int64{3, 2, 2}
+	want := make([]int64, len(b)+1)
+	want[0], want[1], want[top], want[top+1] = 3, 1, 1, 2
 	for i, w := range want {
 		if s.Counts[i] != w {
 			t.Errorf("bucket %d = %d, want %d (counts %v)", i, s.Counts[i], w, s.Counts)
@@ -35,7 +38,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 }
 
 func TestHistogramBucketSumIdentity(t *testing.T) {
-	h := NewHistogram(nil)
+	h := NewHistogram()
 	for i := 0; i < 1000; i++ {
 		h.Observe(time.Duration(i*i) * time.Microsecond)
 	}
@@ -53,14 +56,15 @@ func TestHistogramBucketSumIdentity(t *testing.T) {
 }
 
 func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram([]time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond})
-	// 100 samples uniformly in (0, 10ms]: p50 interpolates to the
-	// middle of the first bucket, p99 near its top.
+	h := NewHistogram()
+	// 100 samples uniformly in (5ms, 10ms], the bucket bounded by the
+	// ladder's 5ms and 10ms: p50 interpolates to the middle of that
+	// bucket, p100 to its top.
 	for i := 1; i <= 100; i++ {
-		h.Observe(time.Duration(i) * 100 * time.Microsecond)
+		h.Observe(5*time.Millisecond + time.Duration(i)*50*time.Microsecond)
 	}
-	if p50 := h.Quantile(0.50); p50 != 5*time.Millisecond {
-		t.Errorf("p50 = %v, want 5ms (linear interpolation at half the bucket)", p50)
+	if p50 := h.Quantile(0.50); p50 != 7500*time.Microsecond {
+		t.Errorf("p50 = %v, want 7.5ms (linear interpolation at half the bucket)", p50)
 	}
 	if p100 := h.Quantile(1); p100 != 10*time.Millisecond {
 		t.Errorf("p100 = %v, want the bucket bound 10ms", p100)
@@ -71,21 +75,22 @@ func TestHistogramQuantiles(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Observe(time.Hour)
 	}
-	if p99 := h.Quantile(0.99); p99 != 40*time.Millisecond {
-		t.Errorf("overflow p99 = %v, want ladder top 40ms", p99)
+	top := DefaultLatencyBuckets[len(DefaultLatencyBuckets)-1]
+	if p99 := h.Quantile(0.99); p99 != top {
+		t.Errorf("overflow p99 = %v, want ladder top %v", p99, top)
 	}
 
 	// Degenerate inputs.
 	if q := (HistogramSnapshot{}).Quantile(0.5); q != 0 {
 		t.Errorf("empty snapshot quantile = %v, want 0", q)
 	}
-	if q := NewHistogram(nil).Quantile(0.5); q != 0 {
+	if q := NewHistogram().Quantile(0.5); q != 0 {
 		t.Errorf("empty histogram quantile = %v, want 0", q)
 	}
 }
 
 func TestHistogramSnapshotJSONRoundTrip(t *testing.T) {
-	h := NewHistogram(nil)
+	h := NewHistogram()
 	h.Observe(3 * time.Millisecond)
 	h.Observe(700 * time.Millisecond)
 	b, err := json.Marshal(h.Snapshot())
@@ -105,17 +110,8 @@ func TestHistogramSnapshotJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHistogramRejectsNonAscendingBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("non-ascending bounds did not panic")
-		}
-	}()
-	NewHistogram([]time.Duration{time.Second, time.Millisecond})
-}
-
 func TestHistogramConcurrentObserve(t *testing.T) {
-	h := NewHistogram(nil)
+	h := NewHistogram()
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -140,7 +136,7 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 
 func TestRegistryHistograms(t *testing.T) {
 	r := NewRegistry()
-	h := NewHistogram(nil)
+	h := NewHistogram()
 	r.Histogram("test.latency.stage", h)
 	h.Observe(time.Millisecond)
 	snaps := r.Histograms()
@@ -155,5 +151,5 @@ func TestRegistryHistograms(t *testing.T) {
 			t.Error("duplicate histogram registration did not panic")
 		}
 	}()
-	r.Histogram("test.latency.stage", NewHistogram(nil))
+	r.Histogram("test.latency.stage", NewHistogram())
 }

@@ -16,10 +16,11 @@
 //
 // Execution is context-aware and instance-scoped: the run's context is
 // its only wall-clock bound (context.WithTimeout), RunContext takes
-// functional options (watchdog, strict memory, static verification,
-// per-run telemetry), and Batch runs whole workload x target matrices
-// concurrently with a compile-artifact cache while keeping results
-// byte-identical to a serial run.
+// functional options (watchdog, strict memory, static verification),
+// every Result carries its own machine and counters, and Batch runs
+// whole workload x target matrices concurrently with a
+// compile-artifact cache while keeping results byte-identical to a
+// serial run.
 package tm3270
 
 import (
@@ -86,12 +87,6 @@ type Artifact = runner.Artifact
 // OPIStatic are forwarded as methods).
 type Result = runner.Result
 
-// Telemetry is the per-run observability sink injected via
-// WithTelemetry: the caller arms an event trace and/or the profile,
-// the run fills the counter snapshot. Instance-scoped by
-// construction, so concurrent runs cannot race on shared telemetry.
-type Telemetry = runner.Telemetry
-
 // Loaded is a machine-ready execution handle: one compiled Artifact
 // loaded against a private memory image with per-run options applied.
 // It composes precompiled-artifact execution with run options:
@@ -118,9 +113,6 @@ func WithStrictMem(on bool) RunOption { return runner.WithStrictMem(on) }
 
 // WithVerify statically verifies the decoded binary before execution.
 func WithVerify(on bool) RunOption { return runner.WithVerify(on) }
-
-// WithTelemetry attaches a per-run observability sink.
-func WithTelemetry(t *Telemetry) RunOption { return runner.WithTelemetry(t) }
 
 // WithArtifact runs a precompiled artifact instead of compiling again.
 func WithArtifact(a *Artifact) RunOption { return runner.WithArtifact(a) }
