@@ -255,9 +255,9 @@ func main() {
 		fmt.Fprintf(out, "prefetch    %d triggers, %d issued, %d useful, %d late, %d dropped, %d evicted\n",
 			ps.Triggers, ps.Issued, ps.Useful, ps.Late, ps.Dropped, ps.Evicted)
 	}
-	fmt.Fprintf(out, "icache      %d chunks, %d misses\n", m.IC.Stats.Chunks, m.IC.Stats.Misses)
+	fmt.Fprintf(out, "icache      %d chunks, %d misses\n", m.IC.Stats.Hits+m.IC.Stats.Misses, m.IC.Stats.Misses)
 	fmt.Fprintf(out, "bus         %d reads / %d writes, %d B in / %d B out\n",
-		m.BIU.Reads, m.BIU.Writes, m.BIU.BytesRead, m.BIU.BytesWritten)
+		m.BIU.DemandReads+m.BIU.PrefetchRead, m.BIU.Writes, m.BIU.BytesRead, m.BIU.BytesWritten)
 	fmt.Fprintf(out, "time        %.3f ms at %d MHz\n", res.Seconds()*1e3, tgt.FreqMHz)
 
 	if pr, err := power.Power(res.Activity(), power.NominalVoltage); err == nil {

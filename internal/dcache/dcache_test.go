@@ -249,8 +249,8 @@ func TestBIUOccupancySerializes(t *testing.T) {
 	if d2 <= d1 {
 		t.Errorf("second transfer done at %d, first at %d: no serialization", d2, d1)
 	}
-	if biu.Reads != 2 || biu.BytesRead != 256 {
-		t.Errorf("stats: %d reads, %d bytes", biu.Reads, biu.BytesRead)
+	if biu.DemandReads != 2 || biu.BytesRead != 256 {
+		t.Errorf("stats: %d reads, %d bytes", biu.DemandReads, biu.BytesRead)
 	}
 	// A write after the reads starts after them.
 	w := biu.Write(&tgt, 0, 128)

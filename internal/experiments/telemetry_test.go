@@ -84,8 +84,8 @@ func TestSnapshotDeterminism(t *testing.T) {
 
 // TestStallIdentity checks the cycle-accounting invariant on both write
 // -miss policies: the disjoint per-cause stall counters sum exactly to
-// cycles minus issue cycles, and the tmsim splits reconcile with their
-// totals.
+// cycles minus issue cycles, and each cause split reconciles with its
+// total.
 func TestStallIdentity(t *testing.T) {
 	p := workloads.Small()
 	for _, tgt := range []config.Target{config.ConfigA(), config.ConfigD()} {
@@ -101,10 +101,6 @@ func TestStallIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := m.Stats
-			if got := s.DataMissStalls + s.DataInFlightStalls + s.DataCWBStalls; got != s.DataStalls {
-				t.Errorf("%s on %s: data stall split sums to %d, total %d",
-					name, tgt.Name, got, s.DataStalls)
-			}
 			if s.JumpStalls > s.FetchStalls {
 				t.Errorf("%s on %s: jump stalls %d exceed fetch stalls %d",
 					name, tgt.Name, s.JumpStalls, s.FetchStalls)
@@ -114,8 +110,7 @@ func TestStallIdentity(t *testing.T) {
 				t.Errorf("%s on %s: per-cause stall counters sum to %d, want cycles-instrs = %d",
 					name, tgt.Name, got, want)
 			}
-			// The dcache's own cause accounting must agree with what the
-			// core attributed.
+			// The data cache's cause split must sum to the core's total.
 			if got := m.DC.Stats.StallTotal(); got != s.DataStalls {
 				t.Errorf("%s on %s: dcache stall causes sum to %d, core saw %d",
 					name, tgt.Name, got, s.DataStalls)

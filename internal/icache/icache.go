@@ -14,9 +14,9 @@ import (
 // ChunkBytes is the fetch width: one 32-byte aligned chunk per cycle.
 const ChunkBytes = 32
 
-// Stats are the instruction-fetch counters.
+// Stats are the instruction-fetch counters. Every chunk fetched
+// either hits or misses, so the chunk count is Hits + Misses.
 type Stats struct {
-	Chunks int64
 	Hits   int64
 	Misses int64
 }
@@ -55,7 +55,6 @@ func (ic *ICache) Fetch(now int64, addr uint32, size int) int64 {
 		if !ic.haveLast || ic.lastChunk != chunk {
 			ic.haveLast = true
 			ic.lastChunk = chunk
-			ic.Stats.Chunks++
 			stall += ic.fetchChunk(now+stall, chunk)
 		}
 		if chunk == last {

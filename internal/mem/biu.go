@@ -30,8 +30,9 @@ type BIU struct {
 	// transaction on the bus lane.
 	Events *telemetry.Trace
 
-	// Statistics.
-	Reads, Writes             int64
+	// Statistics. Every read is either a demand read or a prefetch
+	// read, so the read total is DemandReads + PrefetchRead.
+	Writes                    int64
 	BytesRead, BytesWritten   int64
 	DemandReads, PrefetchRead int64
 }
@@ -63,7 +64,6 @@ func (b *BIU) Read(t *config.Target, now int64, bytes int, prefetch bool) int64 
 		tr += b.Fault.ReadDelay(bytes, prefetch)
 	}
 	b.busyTill = start + b.overhead + tr
-	b.Reads++
 	b.BytesRead += int64(bytes)
 	name := "read:demand"
 	if prefetch {

@@ -44,11 +44,12 @@ var execTargets = []struct {
 
 // TestExecGolden pins the execution model's complete visible outcome on
 // every shipped workload at Small() sizes on every target: trap
-// identity, every Stats field, the translation-cache counters, and
-// sha256 digests of the final register file and memory image. For the
-// execObserved pairs it also pins digests of the instruction trace,
-// the event trace JSON and the profile cells of a run with all three
-// hooks armed. The file was generated by the slot-by-slot interpreter
+// identity, every Stats field, the data cache's stall split, the
+// translation-cache counters, and sha256 digests of the final register
+// file and memory image. For the execObserved pairs it also pins
+// digests of the instruction trace, the event trace JSON and the
+// profile cells of a run with all three hooks armed. The file was
+// generated by the slot-by-slot interpreter
 // that preceded the block-cache execution loop, so it is the loop's
 // cycle-exactness reference; rerun with -update only after a
 // deliberate timing-model change.
@@ -99,10 +100,10 @@ func TestExecGolden(t *testing.T) {
 }
 
 // execRecord runs one compiled workload and renders its golden lines:
-// trap, check, stats, translation-cache counters and register and
-// memory digests. With observe set, the run arms the instruction trace,
-// the event trace and the profile, and renders its stats and their
-// digests instead.
+// trap, check, stats, data-cache stall split, translation-cache
+// counters and register and memory digests. With observe set, the run
+// arms the instruction trace, the event trace and the profile, and
+// renders its stats, stall split and their digests instead.
 func execRecord(t *testing.T, art *runner.Artifact, w *workloads.Spec, observe bool) string {
 	t.Helper()
 	image := mem.NewFunc()
@@ -130,6 +131,7 @@ func execRecord(t *testing.T, art *runner.Artifact, w *workloads.Spec, observe b
 	var o strings.Builder
 	if observe {
 		fmt.Fprintf(&o, "observed stats: %+v\n", m.Stats)
+		writeDataStalls(&o, m)
 		fmt.Fprintf(&o, "trace: %d bytes %x\n", text.Len(), sha256.Sum256(text.Bytes()))
 		h := sha256.New()
 		if err := events.WriteJSON(h); err != nil {
@@ -156,6 +158,7 @@ func execRecord(t *testing.T, art *runner.Artifact, w *workloads.Spec, observe b
 		}
 	}
 	fmt.Fprintf(&o, "stats: %+v\n", m.Stats)
+	writeDataStalls(&o, m)
 	regs := m.RegSnapshot()
 	h := sha256.New()
 	for _, r := range regs {
@@ -185,4 +188,11 @@ func profileDigest(p *telemetry.Profile, n int) []byte {
 		binary.Write(h, binary.BigEndian, cell[:])
 	}
 	return h.Sum(nil)
+}
+
+// writeDataStalls prints the data cache's split of the core's
+// DataStalls by cause.
+func writeDataStalls(o *strings.Builder, m *tmsim.Machine) {
+	d := &m.DC.Stats
+	fmt.Fprintf(o, "dstalls: StallMiss:%d StallInFlight:%d StallCWB:%d\n", d.StallMiss, d.StallInFlight, d.StallCWB)
 }

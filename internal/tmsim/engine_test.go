@@ -18,9 +18,9 @@ import (
 type split struct{ cycles, instrs, ops, fetch, jump, dmiss, dinfl, dcwb int64 }
 
 func statSplit(m *tmsim.Machine) split {
-	s := &m.Stats
+	s, d := &m.Stats, &m.DC.Stats
 	return split{s.Cycles, s.Instrs, s.Ops, s.FetchStalls, s.JumpStalls,
-		s.DataMissStalls, s.DataInFlightStalls, s.DataCWBStalls}
+		d.StallMiss, d.StallInFlight, d.StallCWB}
 }
 
 // runPinned executes the program and requires the cycle accounting and
@@ -187,8 +187,8 @@ func TestObservabilityIsPassive(t *testing.T) {
 	if got := obs.Profile.TotalCycles(); got != obs.Stats.Cycles {
 		t.Errorf("profile attributes %d cycles, run took %d", got, obs.Stats.Cycles)
 	}
-	if got := obs.Profile.Total(telemetry.CauseDataMiss); got != obs.Stats.DataMissStalls {
-		t.Errorf("profile data-miss cycles %d, run stalled %d", got, obs.Stats.DataMissStalls)
+	if got := obs.Profile.Total(telemetry.CauseDataMiss); got != obs.DC.Stats.StallMiss {
+		t.Errorf("profile data-miss cycles %d, run stalled %d", got, obs.DC.Stats.StallMiss)
 	}
 	if lines := strings.Count(text, "\n"); lines != 5 {
 		t.Errorf("trace has %d lines, want TraceLimit = 5", lines)

@@ -264,9 +264,6 @@ func (m *Machine) runFast(ctx context.Context) error {
 						pm, pi, pw := ds.StallMiss, ds.StallInFlight, ds.StallCWB
 						if st := m.DC.Access(cycle, addr, size, kind); st > 0 {
 							m.Stats.DataStalls += st
-							m.Stats.DataMissStalls += ds.StallMiss - pm
-							m.Stats.DataInFlightStalls += ds.StallInFlight - pi
-							m.Stats.DataCWBStalls += ds.StallCWB - pw
 							if obs {
 								m.Profile.Add(idx, telemetry.CauseDataMiss, ds.StallMiss-pm)
 								m.Profile.Add(idx, telemetry.CauseDataInFlight, ds.StallInFlight-pi)

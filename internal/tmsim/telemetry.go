@@ -38,11 +38,11 @@ func (m *Machine) Registry() *telemetry.Registry {
 	// sequential fetch stall with the jump penalty carved out.
 	r.Func("stall.fetch", func() int64 { return s.FetchStalls - s.JumpStalls })
 	r.Counter("stall.jump", &s.JumpStalls)
-	r.Counter("stall.data.miss", &s.DataMissStalls)
-	r.Counter("stall.data.inflight", &s.DataInFlightStalls)
-	r.Counter("stall.data.cwb", &s.DataCWBStalls)
-
 	d := &m.DC.Stats
+	r.Counter("stall.data.miss", &d.StallMiss)
+	r.Counter("stall.data.inflight", &d.StallInFlight)
+	r.Counter("stall.data.cwb", &d.StallCWB)
+
 	r.Counter("dcache.load.hit", &d.LoadHits)
 	r.Counter("dcache.load.miss", &d.LoadMisses)
 	r.Counter("dcache.store.hit", &d.StoreHits)
@@ -54,12 +54,12 @@ func (m *Machine) Registry() *telemetry.Registry {
 	r.Counter("dcache.line.cross", &d.LineCrossers)
 
 	ic := &m.IC.Stats
-	r.Counter("icache.chunk", &ic.Chunks)
+	r.Func("icache.chunk", func() int64 { return ic.Hits + ic.Misses })
 	r.Counter("icache.hit", &ic.Hits)
 	r.Counter("icache.miss", &ic.Misses)
 
 	b := m.BIU
-	r.Counter("bus.read", &b.Reads)
+	r.Func("bus.read", func() int64 { return b.DemandReads + b.PrefetchRead })
 	r.Counter("bus.write", &b.Writes)
 	r.Counter("bus.read.demand", &b.DemandReads)
 	r.Counter("bus.read.prefetch", &b.PrefetchRead)
@@ -88,15 +88,15 @@ func (m *Machine) AnnotateSpan(sp *telemetry.Span) {
 	if m == nil || sp == nil {
 		return
 	}
-	s := &m.Stats
+	s, d := &m.Stats, &m.DC.Stats
 	sp.Annotate("cycles", s.Cycles)
 	sp.Annotate("instrs", s.Instrs)
 	sp.Annotate("stall.fetch", s.FetchStalls-s.JumpStalls)
 	sp.Annotate("stall.jump", s.JumpStalls)
-	sp.Annotate("stall.data.miss", s.DataMissStalls)
-	sp.Annotate("stall.data.inflight", s.DataInFlightStalls)
-	sp.Annotate("stall.data.cwb", s.DataCWBStalls)
-	sp.Annotate("dcache.miss", m.DC.Stats.LoadMisses+m.DC.Stats.StoreMisses)
+	sp.Annotate("stall.data.miss", d.StallMiss)
+	sp.Annotate("stall.data.inflight", d.StallInFlight)
+	sp.Annotate("stall.data.cwb", d.StallCWB)
+	sp.Annotate("dcache.miss", d.LoadMisses+d.StoreMisses)
 	if m.Events != nil {
 		sp.Annotate("trace.events", m.Events.Len())
 		sp.Annotate("trace.dropped", m.Events.Dropped())

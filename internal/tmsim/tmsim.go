@@ -34,12 +34,14 @@ import (
 const CodeBase = 0x0100_0000
 
 // Stats is the execution report. The stall counters split every
-// non-issue cycle by cause: FetchStalls and DataStalls are totals, and
-// the component counters below them are disjoint, so
+// non-issue cycle by cause: FetchStalls and DataStalls are totals.
+// JumpStalls is the part of FetchStalls after taken jumps, and the data
+// cache alone splits DataStalls by cause (dcache.Stats.StallMiss,
+// StallInFlight, StallCWB), so
 //
 //	Cycles == Instrs + FetchStalls + DataStalls
 //	FetchStalls == (FetchStalls - JumpStalls) + JumpStalls
-//	DataStalls == DataMissStalls + DataInFlightStalls + DataCWBStalls
+//	DataStalls == DC.Stats.StallTotal()
 //
 // hold for every completed run (asserted by the telemetry tests).
 type Stats struct {
@@ -55,10 +57,7 @@ type Stats struct {
 	FetchStalls int64 // instruction-fetch stalls, jump penalty included
 	JumpStalls  int64 // fetch stalls on the first fetch after a taken jump
 
-	DataStalls         int64 // data-side stalls (total)
-	DataMissStalls     int64 // servicing demand misses and merge fetches
-	DataInFlightStalls int64 // waiting on lines already in flight (partial hits)
-	DataCWBStalls      int64 // cache-write-buffer backpressure
+	DataStalls int64 // data-side stalls (total)
 }
 
 // OPI is the effective operations per VLIW instruction.
