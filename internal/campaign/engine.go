@@ -207,13 +207,5 @@ func Run(ctx context.Context, cfg Config, units []Unit, fn func(context.Context,
 			cfg.Reduce(i, units[i], r)
 		}
 	}
-	if cfg.Store != nil {
-		if err := cfg.Store.WriteManifest(Manifest{
-			Units: stats.Total, Executed: stats.Executed,
-			Cached: stats.Cached, Bad: stats.Bad,
-		}); err != nil {
-			return nil, err
-		}
-	}
 	return &Outcome{Aggregate: agg, Stats: stats}, nil
 }

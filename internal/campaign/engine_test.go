@@ -135,14 +135,6 @@ func TestEngineShardMerge(t *testing.T) {
 		}
 		st.Close()
 	}
-	ms, err := campaign.ReadManifests(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 3 {
-		t.Fatalf("%d manifests, want 3", len(ms))
-	}
-
 	merged := openStore(t, dir, "1of1", "s")
 	out, err := campaign.Run(context.Background(), campaign.Config{Store: merged},
 		units, func(ctx context.Context, u campaign.Unit) (campaign.Result, error) {

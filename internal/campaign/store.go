@@ -14,29 +14,26 @@ import (
 
 // Store is the on-disk result store of a campaign: an append-only set
 // of checksummed JSONL record files in one directory, plus a spec
-// header binding the directory to a single campaign fingerprint and
-// per-shard manifests marking clean completion.
+// header binding the directory to a single campaign fingerprint.
 //
 // Layout:
 //
-//	<dir>/campaign.json        spec header (atomic, written once)
+//	<dir>/campaign.json          spec header (atomic, written once)
 //	<dir>/records-<shard>.jsonl  one append-only file per shard process
-//	<dir>/manifest-<shard>.json  atomic completion marker per shard
 //
 // Concurrent shard processes never write the same file, so the merged
-// store is the plain union of the record files. A SIGKILLed shard may
-// leave a torn final line in its record file; Open drops it (and any
-// checksum-corrupt record) so the unit re-runs instead of resuming
-// from damaged state.
+// store is the plain union of the record files, and resume and merge
+// read nothing else: a unit is done when its record is. A SIGKILLed
+// shard may leave a torn final line in its record file; Open drops it
+// (and any checksum-corrupt record) so the unit re-runs instead of
+// resuming from damaged state.
 type Store struct {
-	dir   string
-	shard string
-	spec  string
+	dir  string
+	spec string
 
 	mu      sync.Mutex
 	f       *os.File
 	have    map[string]Result
-	loaded  int
 	corrupt int
 	torn    int
 }
@@ -73,7 +70,7 @@ func Open(dir, shard, spec string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: store: %w", err)
 	}
-	s := &Store{dir: dir, shard: shard, spec: spec, have: make(map[string]Result)}
+	s := &Store{dir: dir, spec: spec, have: make(map[string]Result)}
 	if err := s.bindSpec(); err != nil {
 		return nil, err
 	}
@@ -180,7 +177,6 @@ func (s *Store) loadFile(path string) error {
 		switch {
 		case ok:
 			s.have[rec.H] = rec.R
-			s.loaded++
 		case !terminated:
 			// A torn final line is the expected residue of a killed
 			// shard: the unit simply re-runs.
@@ -215,9 +211,6 @@ func (s *Store) Corrupt() int { return s.corrupt }
 // residue of a killed writer.
 func (s *Store) Torn() int { return s.torn }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Append durably records one completed unit. Each record is one
 // write() of one newline-terminated line, so concurrent appends from
 // this process interleave at record granularity and a killed process
@@ -249,48 +242,4 @@ func (s *Store) Close() error {
 	err := s.f.Close()
 	s.f = nil
 	return err
-}
-
-// Manifest marks one shard's clean completion: the engine writes it
-// atomically after every covered unit has a stored result.
-type Manifest struct {
-	Shard    string `json:"shard"`
-	Spec     string `json:"spec"`
-	Units    int    `json:"units"`    // units covered by the shard
-	Executed int    `json:"executed"` // run this invocation
-	Cached   int    `json:"cached"`   // satisfied from the store
-	Bad      int    `json:"bad"`
-}
-
-// WriteManifest atomically records this shard's completion.
-func (s *Store) WriteManifest(m Manifest) error {
-	m.Shard, m.Spec = s.shard, s.spec
-	b, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	return atomicWrite(filepath.Join(s.dir, "manifest-"+s.shard+".json"), append(b, '\n'))
-}
-
-// ReadManifests loads every shard manifest in a store directory,
-// sorted by shard label.
-func ReadManifests(dir string) ([]Manifest, error) {
-	files, err := filepath.Glob(filepath.Join(dir, "manifest-*.json"))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(files)
-	var out []Manifest
-	for _, path := range files {
-		b, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		var m Manifest
-		if err := json.Unmarshal(b, &m); err != nil {
-			return nil, fmt.Errorf("campaign: manifest %s: %w", path, err)
-		}
-		out = append(out, m)
-	}
-	return out, nil
 }

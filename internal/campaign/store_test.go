@@ -159,29 +159,6 @@ func TestStoreCorruptRecord(t *testing.T) {
 	}
 }
 
-// TestManifestRoundTrip: shard manifests land atomically and read back
-// sorted by shard label.
-func TestManifestRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	for _, shard := range []string{"2of2", "1of2"} {
-		st := openStore(t, dir, shard, "s")
-		if err := st.WriteManifest(campaign.Manifest{Units: 10, Executed: 4, Cached: 6}); err != nil {
-			t.Fatal(err)
-		}
-		st.Close()
-	}
-	ms, err := campaign.ReadManifests(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 2 || ms[0].Shard != "1of2" || ms[1].Shard != "2of2" {
-		t.Fatalf("manifests = %+v", ms)
-	}
-	if ms[0].Spec != "s" || ms[0].Units != 10 {
-		t.Errorf("manifest contents = %+v", ms[0])
-	}
-}
-
 func marshalAgg(t *testing.T, a *campaign.Aggregate) []byte {
 	t.Helper()
 	b, err := a.MarshalJSONDeterministic()

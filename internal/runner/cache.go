@@ -30,9 +30,8 @@ type cacheEntry struct {
 
 // CacheStats is a point-in-time view of cache effectiveness.
 type CacheStats struct {
-	Hits     int64 // lookups served from a completed or in-flight compile
-	Misses   int64 // lookups that created the entry (and ran the compile)
-	Failures int64 // entries whose compile failed (counted once per key)
+	Hits   int64 // lookups served from a completed or in-flight compile
+	Misses int64 // lookups that created the entry (and ran the compile)
 }
 
 // Cache memoizes workload specs and their compile artifacts by
@@ -42,11 +41,10 @@ type CacheStats struct {
 // telemetry. The zero value is not usable; use NewCache. All methods
 // are safe for concurrent use.
 type Cache struct {
-	mu       sync.Mutex
-	entries  map[cacheKey]*cacheEntry
-	hits     int64
-	misses   int64
-	failures int64
+	mu      sync.Mutex
+	entries map[cacheKey]*cacheEntry
+	hits    int64
+	misses  int64
 }
 
 // NewCache returns an empty artifact cache.
@@ -79,12 +77,7 @@ func (c *Cache) Lookup(name string, p workloads.Params, t config.Target) (w *wor
 		}
 	})
 	// once.Do returns only after the build completed, so e.err is
-	// stable here for every caller; the creator records the failure.
-	if !ok && e.err != nil {
-		c.mu.Lock()
-		c.failures++
-		c.mu.Unlock()
-	}
+	// stable here for every caller.
 	return e.spec, e.art, ok, e.err
 }
 
@@ -92,7 +85,7 @@ func (c *Cache) Lookup(name string, p workloads.Params, t config.Target) (w *wor
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Failures: c.failures}
+	return CacheStats{Hits: c.hits, Misses: c.misses}
 }
 
 // Len returns the number of cached compilations (failed ones included).
