@@ -10,6 +10,7 @@ import (
 	"tm3270/internal/mem"
 	"tm3270/internal/prefetch"
 	"tm3270/internal/runner"
+	"tm3270/internal/tmsim"
 	"tm3270/internal/workloads"
 )
 
@@ -169,36 +170,28 @@ func setupWorkload(name string) (*campaignWorkload, error) {
 	return &campaignWorkload{name: name, w: w, art: art, ref: ref}, nil
 }
 
-// runOne executes one seeded fault-injected run and classifies it.
+// runOne executes one seeded fault-injected run through the runner
+// and classifies it.
 func (cw *campaignWorkload) runOne(ctx context.Context, spec Spec, seed int64) (*RunReport, error) {
-	w, ref := cw.w, cw.ref
-	image := mem.NewFunc()
-	if w.Init != nil {
-		if err := w.Init(image); err != nil {
-			return nil, err
-		}
-	}
-	l := runner.Load(cw.art, image, runner.WithWatchdog(campaignWatchdog))
-	for v, val := range w.Args {
-		l.Machine.SetReg(v, val)
-	}
-
 	inj := New(spec, seed)
-	inj.Arm(l.Machine)
-	runErr := l.RunContext(ctx)
+	res, err := runner.RunContext(ctx, cw.w, config.TM3270(), runner.WithArtifact(cw.art),
+		runner.WithWatchdog(campaignWatchdog), runner.WithMachineSetup(inj.Arm))
+	if res == nil {
+		return nil, err
+	}
 
 	rep := &RunReport{Workload: cw.name, Spec: spec, Seed: seed, Injected: len(inj.Events)}
-	if runErr != nil {
+	var te *tmsim.TrapError
+	switch {
+	case errors.As(err, &te):
 		rep.Outcome = DetectedTrap
-		rep.Detail = runErr.Error()
+		rep.Detail = te.Error()
 		return rep, nil
-	}
-	if w.Check != nil {
-		if cerr := w.Check(image); cerr != nil {
-			rep.Outcome = DetectedDivergence
-			rep.Detail = "output check: " + cerr.Error()
-			return rep, nil
-		}
+	case err != nil:
+		// The run completed, so the error is the failed output check.
+		rep.Outcome = DetectedDivergence
+		rep.Detail = "output check: " + errors.Unwrap(err).Error()
+		return rep, nil
 	}
 	// The output check passed; any remaining difference against the
 	// fault-free reference beyond the injection sites (and the MMIO
@@ -211,7 +204,7 @@ func (cw *campaignWorkload) runOne(ctx context.Context, spec Spec, seed int64) (
 		}
 		return addr >= prefetch.MMIOBase && addr < prefetch.MMIOBase+prefetch.MMIOSize
 	}
-	if addr, diff := mem.Diff(image, ref, ignore); diff {
+	if addr, diff := mem.Diff(res.Machine.Mem, cw.ref, ignore); diff {
 		rep.Outcome = DetectedDivergence
 		rep.Detail = fmt.Sprintf("memory diverges from reference at %#x", addr)
 		return rep, nil
