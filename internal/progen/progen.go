@@ -5,7 +5,7 @@
 // construction and passes the static binary verifier), terminates (all
 // loops — including loops nested inside other loops — are down-counted
 // with unguarded decrements), and keeps every memory access inside a
-// configured window or the prefetch MMIO block. A handful of hot
+// fixed data window or the prefetch MMIO block. A handful of hot
 // offsets per program is shared between stores, displacement loads and
 // wide collapsed/super loads, so address collisions between accesses
 // of different widths occur by design rather than by luck.
@@ -32,26 +32,15 @@ type Config struct {
 
 	// Ops is the approximate operation budget (default 64).
 	Ops int
-
-	// MemBase/MemSize bound the data window every generated memory
-	// access stays inside. MemSize must be a power of two ≥ 4 KB
-	// (default: 64 KB at 0x0200_0000).
-	MemBase uint32
-	MemSize uint32
 }
 
-func (c *Config) fill() {
-	if c.Ops == 0 {
-		c.Ops = 64
-	}
-	if c.MemSize == 0 {
-		c.MemBase = 0x0200_0000
-		c.MemSize = 1 << 16
-	}
-	if c.MemSize&(c.MemSize-1) != 0 || c.MemSize < 1<<12 {
-		panic(fmt.Sprintf("progen: MemSize %#x is not a power of two >= 4KB", c.MemSize))
-	}
-}
+// memBase and memSize bound the data window every generated memory
+// access stays inside: 64 KB at 0x0200_0000. memSize is a power of
+// two, so masking an index with memSize-8 keeps an 8-byte access in it.
+const (
+	memBase = 0x0200_0000
+	memSize = 1 << 16
+)
 
 // Info describes the shapes one generated program contains, so tests
 // and campaign reports can prove the generator's coverage instead of
@@ -85,7 +74,7 @@ type gen struct {
 	b       *prog.Builder
 	vals    []prog.VReg
 	base    prog.VReg   // data window base address
-	mask    prog.VReg   // MemSize-8: masks an index into the window
+	mask    prog.VReg   // memSize-8: masks an index into the window
 	mmio    prog.VReg   // MMIO block base (prefetch targets only)
 	scratch []prog.VReg // ring of temporaries for address formation
 	nextTmp int
@@ -104,7 +93,9 @@ func Generate(cfg Config) *prog.Program {
 // GenerateInfo builds the random program and reports which shapes it
 // contains.
 func GenerateInfo(cfg Config) (*prog.Program, Info) {
-	cfg.fill()
+	if cfg.Ops == 0 {
+		cfg.Ops = 64
+	}
 	g := &gen{
 		cfg: cfg,
 		rng: rand.New(rand.NewSource(cfg.Seed)),
@@ -116,8 +107,8 @@ func GenerateInfo(cfg Config) (*prog.Program, Info) {
 	for _, v := range g.vals {
 		g.b.Imm(v, g.rng.Uint32())
 	}
-	g.base = g.b.ImmReg(cfg.MemBase)
-	g.mask = g.b.ImmReg(cfg.MemSize - 8)
+	g.base = g.b.ImmReg(memBase)
+	g.mask = g.b.ImmReg(memSize - 8)
 	g.scratch = g.b.Regs(8)
 	for _, v := range g.scratch {
 		g.b.Imm(v, 0)
@@ -273,7 +264,7 @@ func (g *gen) mmioOps() {
 func (g *gen) smallImm() uint32 { return uint32(int32(g.rng.Intn(2001) - 1000)) }
 
 // index materializes a random in-window byte index: masking with
-// MemSize-8 clears the low three bits and bounds the value, so even an
+// memSize-8 clears the low three bits and bounds the value, so even an
 // 8-byte access from base+index stays inside the window.
 func (g *gen) index() prog.VReg {
 	idx := g.tmp()
