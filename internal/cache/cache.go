@@ -102,8 +102,8 @@ func (c *Cache) Lookup(addr uint32) (*Line, bool) {
 }
 
 // LookupTouch finds addr's line and, on a hit, marks it most recently
-// used — Lookup and Touch fused into one set scan for access paths
-// that always promote on a hit.
+// used, in one set scan, for access paths that always promote on a
+// hit.
 func (c *Cache) LookupTouch(addr uint32) (*Line, bool) {
 	set := c.Index(addr)
 	ways := c.set(set)
@@ -116,19 +116,6 @@ func (c *Cache) LookupTouch(addr uint32) (*Line, bool) {
 		}
 	}
 	return nil, false
-}
-
-// Touch marks addr's line most recently used.
-func (c *Cache) Touch(addr uint32) {
-	set := c.Index(addr)
-	ways := c.set(set)
-	tag := c.tag(addr)
-	for w := range ways {
-		if ways[w].Valid && ways[w].Tag == tag {
-			c.promote(set, uint8(w))
-			return
-		}
-	}
 }
 
 func (c *Cache) promote(set uint32, way uint8) {
@@ -266,14 +253,5 @@ func (c *Cache) SetAllValid(l *Line) {
 	words := c.validWords(l)
 	for i := range words {
 		words[i] = ^uint64(0)
-	}
-}
-
-// InvalidateAll resets the cache to cold.
-func (c *Cache) InvalidateAll() {
-	for i := range c.lines {
-		c.lines[i].Valid = false
-		c.lines[i].Dirty = false
-		c.lines[i].ReadyAt = 0
 	}
 }

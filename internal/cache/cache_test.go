@@ -39,8 +39,8 @@ func TestLRUReplacement(t *testing.T) {
 		v := c.Victim(a)
 		c.Fill(v, a, true)
 	}
-	// Touch a1 so a2 becomes LRU.
-	c.Touch(a1)
+	// Hit a1 so a2 becomes LRU.
+	c.LookupTouch(a1)
 	v := c.Victim(a3)
 	if got := c.VictimAddr(v, a3); got != a2 {
 		t.Errorf("victim = %#x, want LRU line %#x", got, a2)
@@ -109,16 +109,6 @@ func TestMarkValidClipsToLine(t *testing.T) {
 	}
 }
 
-func TestInvalidateAll(t *testing.T) {
-	c := smallCache(false)
-	v := c.Victim(0)
-	c.Fill(v, 0, true)
-	c.InvalidateAll()
-	if _, hit := c.Lookup(0); hit {
-		t.Error("line survived InvalidateAll")
-	}
-}
-
 func TestLineAddrIndex(t *testing.T) {
 	c := smallCache(false)
 	if got := c.LineAddr(0x12345); got != 0x12340 {
@@ -172,7 +162,7 @@ func TestByteValidityPerLine(t *testing.T) {
 }
 
 // TestLookupTouchPromotes checks that a hit through LookupTouch makes
-// the line most recently used, as Lookup followed by Touch would.
+// the line most recently used and a miss promotes nothing.
 func TestLookupTouchPromotes(t *testing.T) {
 	c := smallCache(false)
 	a1, a2, a3 := uint32(0x0000), uint32(0x0200), uint32(0x0400)
