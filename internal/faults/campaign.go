@@ -22,8 +22,8 @@ const (
 	// matches the fault-free reference everywhere outside the injection
 	// sites — the fault never propagated.
 	Masked Outcome = iota
-	// DetectedTrap: the machine raised a structured trap (or another
-	// execution error) instead of running on with corrupted state.
+	// DetectedTrap: the machine raised a structured trap instead of
+	// running on with corrupted state.
 	DetectedTrap
 	// DetectedDivergence: the run completed but its outputs diverge —
 	// the workload's own check failed, or memory differs from the
