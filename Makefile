@@ -57,7 +57,8 @@ bench:
 
 # bench-smoke: one iteration each of the scheduler and static-verifier
 # benchmarks (BenchmarkSchedule, BenchmarkVerify, BenchmarkWCET:
-# mpeg2_super on config D), of the output-check benchmark
+# mpeg2_super on config D; BenchmarkScheduleProgen: a generated 64-op
+# program on config D), of the output-check benchmark
 # (BenchmarkCheck: me_frac8's check of a 352x240 frame pair through
 # the memory image's bulk reads) and of the cold per-unit setup
 # benchmarks of a generated 64-op program on config D (BenchmarkLoad:

@@ -253,6 +253,22 @@ func BenchmarkSchedule(b *testing.B) {
 	}
 }
 
+// BenchmarkScheduleProgen measures one list scheduling of a 64-op
+// progen program (seed 1) on config D, the block size of a generated
+// conformance unit, whose memory ops all take the scan of every
+// earlier one.
+func BenchmarkScheduleProgen(b *testing.B) {
+	tgt := config.ConfigD()
+	p := progen.Generate(progen.Config{Seed: 1, Target: &tgt, Ops: 64})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sched.Schedule(p, tgt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkVerify measures one full static verification (decode,
 // structural checks, latency dataflow, range fixpoints, loop bounds).
 func BenchmarkVerify(b *testing.B) {

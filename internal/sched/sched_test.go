@@ -634,3 +634,32 @@ func TestVerifyRejectsDrainViolation(t *testing.T) {
 		t.Error("verifier accepted a drain violation")
 	}
 }
+
+// TestVerifyDrainNamesLowestRegister: when several results of a block
+// miss the drain rule, the error names the lowest register, on every
+// run, whatever the slot order of their writers.
+func TestVerifyDrainNamesLowestRegister(t *testing.T) {
+	lo, hi, z := prog.VReg(2), prog.VReg(3), prog.VReg(4)
+	mul := func(d prog.VReg) *prog.Op {
+		return &prog.Op{Opcode: isa.OpIMUL, Guard: prog.One, Src: [4]prog.VReg{z, z}, Dest: [2]prog.VReg{d}}
+	}
+	var in sched.Instr
+	writers := []*prog.Op{mul(hi), mul(lo)}
+	mask := isa.DefaultSlots(isa.Info(isa.OpIMUL).Class)
+	for s := 1; s <= 5 && len(writers) > 0; s++ {
+		if mask.Has(s) {
+			in.Slots[s-1] = sched.SlotOp{Op: writers[0]}
+			writers = writers[1:]
+		}
+	}
+	if len(writers) > 0 {
+		t.Fatal("fewer than two multiplier slots")
+	}
+	code := &sched.Code{Name: "drainlow", Target: config.TM3270(), Instrs: []sched.Instr{in}, BlockStart: []int{0}}
+	for run := 0; run < 20; run++ {
+		err := sched.Verify(code)
+		if err == nil || !strings.Contains(err.Error(), "drain rule") || !strings.Contains(err.Error(), lo.String()+" commits") {
+			t.Fatalf("run %d: %v, want a drain-rule error naming %v", run, err, lo)
+		}
+	}
+}
